@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"staticpipe/internal/balance"
@@ -17,6 +18,7 @@ import (
 	"staticpipe/internal/foriter"
 	"staticpipe/internal/graph"
 	"staticpipe/internal/machine"
+	"staticpipe/internal/place"
 	"staticpipe/internal/recurrence"
 	"staticpipe/internal/value"
 )
@@ -703,4 +705,74 @@ func BenchmarkE17Dedup(b *testing.B) {
 			b.ReportMetric(res.II("X"), "cycles/result")
 		})
 	}
+}
+
+// --- Compile scaling: the solvers behind balancing and placement ---------
+
+// ladderSource builds a ladder of k ≥ 2 forall blocks over [1, m] in which
+// every block reads the previous two, so each rung closes a reconvergent
+// pair of paths of unequal length and the balancer sizes a buffer at every
+// level. Each rung body is a seeded draw of an arithmetic, conditional or
+// clamped form.
+func ladderSource(rng *rand.Rand, k int) string {
+	var b strings.Builder
+	b.WriteString("param m = 32;\ninput A : array[real] [0, m+1];\ninput B : array[real] [0, m+1];\n")
+	rung := func(s int, body string) {
+		fmt.Fprintf(&b, "L%d : array[real] :=\n  forall i in [1, m]\n  construct %s\n  endall;\n", s, body)
+	}
+	rung(0, "0.25 * (A[i-1] + 2.*A[i] + A[i+1])")
+	rung(1, "0.5 * L0[i] + B[i]")
+	for s := 2; s < k; s++ {
+		p, q := fmt.Sprintf("L%d[i]", s-1), fmt.Sprintf("L%d[i]", s-2)
+		c := fmt.Sprintf("%.2f", 0.2+0.3*rng.Float64())
+		switch rng.Intn(3) {
+		case 0:
+			rung(s, fmt.Sprintf("%s * %s + (1. - %s) * %s", c, p, c, q))
+		case 1:
+			rung(s, fmt.Sprintf("if %s > %s then %s - %s else %s * %s endif", p, q, p, c, q, c))
+		default:
+			rung(s, fmt.Sprintf("min(max(%s * %s + %s, -2.), 2.)", c, p, q))
+		}
+	}
+	fmt.Fprintf(&b, "output L%d;\n", k-1)
+	return b.String()
+}
+
+// BenchmarkCompileLadder measures compile time against program size. The
+// optimal balancer's min-cost flow dominates it, so this is the scaling
+// curve of the mincost solver on balance-shaped networks.
+func BenchmarkCompileLadder(b *testing.B) {
+	for _, k := range []int{64, 128, 256} {
+		b.Run(fmt.Sprintf("blocks=%d", k), func(b *testing.B) {
+			src := ladderSource(rand.New(rand.NewSource(1)), k)
+			var u *Unit
+			var err error
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if u, err = Compile(src, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(u.Compiled.Graph.NumNodes()), "cells")
+		})
+	}
+}
+
+// BenchmarkPlacePlan measures min-cost placement of a 64-block ladder on 8
+// PEs: repeated cell→PE assignment flows plus the critical-cycle analysis
+// that weights the cut.
+func BenchmarkPlacePlan(b *testing.B) {
+	u, err := Compile(ladderSource(rand.New(rand.NewSource(1)), 64), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pl *place.Placement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pl, err = place.Plan(u.Compiled.Graph, place.Options{PEs: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pl.Cost), "cut")
 }

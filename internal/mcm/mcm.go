@@ -17,9 +17,16 @@
 // cells and two circulating values (II = 2, maximum). A cycle with zero
 // tokens can never fire — a structural deadlock.
 //
-// The ratio is found by binary search on λ with Bellman-Ford positive-cycle
-// detection, then snapped to the exact rational (denominators are bounded
-// by the total token count) and verified with integer arithmetic.
+// The ratio is found by binary search on λ with positive-cycle detection,
+// then snapped to the exact rational (denominators are bounded by the total
+// token count) and verified with integer arithmetic. Every cycle test is
+// one queue-based longest-path relaxation over a compressed adjacency
+// (relax): it rescans only nodes whose label rose, and finds a positive
+// cycle by checking the parent pointers for a loop once per n label
+// updates. Its answers — whether a positive cycle exists, and otherwise
+// the unique longest-path labels — do not depend on scan order, so the
+// ratio and the critical cycle are exactly those of the textbook
+// Bellman-Ford sweep.
 package mcm
 
 import (
@@ -99,14 +106,26 @@ func MaxRatio(n int, edges []Edge) (Result, error) {
 	if totalTok == 0 {
 		totalTok = 1
 	}
+	c := newCSR(n, edges)
+	fw := make([]float64, len(edges))
+	fr := newRelaxer[float64](n)
+	iw := make([]int64, len(edges))
+	ir := newRelaxer[int64](n)
 	// positiveCycle(p, q) reports whether some cycle C has
 	// latency(C)/tokens(C) > p/q, i.e. Σ(q·lat − p·tok) > 0 over C.
 	positiveCycle := func(p, q int64) bool {
-		w := make([]int64, len(edges))
-		for i, e := range edges {
-			w[i] = q*e.Latency - p*e.Tokens
+		for k := range iw {
+			iw[k] = q*c.lat[k] - p*c.tok[k]
 		}
-		return hasPositiveCycle(n, edges, w)
+		return !ir.relax(c, iw, 0)
+	}
+	// positiveCycleFloat is the float-weight variant used during the
+	// search; label gains of 1e-12 or less are ignored.
+	positiveCycleFloat := func(lambda float64) bool {
+		for k := range fw {
+			fw[k] = float64(c.lat[k]) - lambda*float64(c.tok[k])
+		}
+		return !fr.relax(c, fw, 1e-12)
 	}
 
 	// Binary search λ = lo..hi on reals until the interval is narrower than
@@ -115,7 +134,7 @@ func MaxRatio(n int, edges []Edge) (Result, error) {
 	lo, hi := 0.0, float64(totalLat)
 	for i := 0; i < 80 && hi-lo > 0.5/float64(totalTok*totalTok+1); i++ {
 		mid := (lo + hi) / 2
-		if positiveCycleFloat(n, edges, mid) {
+		if positiveCycleFloat(mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -181,43 +200,126 @@ func hasCycle(n int, edges []Edge, keep func(Edge) bool) bool {
 	return false
 }
 
-// hasPositiveCycle runs Bellman-Ford longest-path relaxation from a virtual
-// source connected to every node; a relaxation surviving n rounds implies a
-// positive-weight cycle.
-func hasPositiveCycle(n int, edges []Edge, w []int64) bool {
-	dist := make([]int64, n) // virtual source: dist 0 to every node
-	for iter := 0; iter <= n; iter++ {
-		changed := false
-		for i, e := range edges {
-			if nd := dist[e.From] + w[i]; nd > dist[e.To] {
-				dist[e.To] = nd
-				changed = true
-			}
+// csr is a constraint graph in compressed sparse row form: the edges
+// leaving node u occupy positions start[u] to start[u+1]-1, in input order.
+type csr struct {
+	start    []int32
+	to       []int32
+	lat, tok []int64
+}
+
+func newCSR(n int, edges []Edge) *csr {
+	c := &csr{
+		start: make([]int32, n+1),
+		to:    make([]int32, len(edges)),
+		lat:   make([]int64, len(edges)),
+		tok:   make([]int64, len(edges)),
+	}
+	for _, e := range edges {
+		c.start[e.From+1]++
+	}
+	for u := 0; u < n; u++ {
+		c.start[u+1] += c.start[u]
+	}
+	fill := append([]int32(nil), c.start[:n]...)
+	for _, e := range edges {
+		k := fill[e.From]
+		fill[e.From]++
+		c.to[k], c.lat[k], c.tok[k] = int32(e.To), e.Latency, e.Tokens
+	}
+	return c
+}
+
+// relaxer holds the scratch of one queue-based longest-path relaxation,
+// reused across the cycle tests of one analysis.
+type relaxer[W int64 | float64] struct {
+	dist   []W
+	parent []int32 // node whose scan last raised the label; -1 for none
+	queue  []int32 // ring of the nodes waiting for a scan
+	queued []bool
+	mark   []int32 // walk stamps for the parent-loop check
+}
+
+func newRelaxer[W int64 | float64](n int) *relaxer[W] {
+	return &relaxer[W]{
+		dist:   make([]W, n),
+		parent: make([]int32, n),
+		queue:  make([]int32, n),
+		queued: make([]bool, n),
+		mark:   make([]int32, n),
+	}
+}
+
+// relax computes longest-path labels from a virtual source joined to every
+// node by a zero-weight edge, with weight w[k] on CSR edge k; a label is
+// raised only when it gains more than eps. It returns true with the
+// converged labels in r.dist, or false if a positive cycle exists.
+//
+// Labels are raised in queue order (each node queued at most once at a
+// time) rather than in sweeps. Whenever the parent pointers are acyclic,
+// each label is at most the weight of its simple parent path, so the
+// labels are bounded; a positive cycle raises them without bound, after
+// which the parent pointers must contain a loop, and every such loop is a
+// positive cycle. Checking for a loop once per n label updates therefore
+// finds every positive cycle, at O(1) amortized cost per update.
+func (r *relaxer[W]) relax(c *csr, w []W, eps W) bool {
+	n := len(r.dist)
+	for v := 0; v < n; v++ {
+		r.dist[v] = 0
+		r.parent[v] = -1
+		r.queue[v] = int32(v)
+		r.queued[v] = true
+	}
+	head, size, updates := 0, n, 0
+	for size > 0 {
+		u := r.queue[head]
+		if head++; head == n {
+			head = 0
 		}
-		if !changed {
-			return false
+		size--
+		r.queued[u] = false
+		for k := c.start[u]; k < c.start[u+1]; k++ {
+			v := c.to[k]
+			if nd := r.dist[u] + w[k]; nd > r.dist[v]+eps {
+				r.dist[v] = nd
+				r.parent[v] = u
+				if !r.queued[v] {
+					r.queued[v] = true
+					tail := head + size
+					if tail >= n {
+						tail -= n
+					}
+					r.queue[tail] = v
+					size++
+				}
+				if updates++; updates == n {
+					updates = 0
+					if r.parentLoop() {
+						return false
+					}
+				}
+			}
 		}
 	}
 	return true
 }
 
-// positiveCycleFloat is the float-weight variant used during the search.
-func positiveCycleFloat(n int, edges []Edge, lambda float64) bool {
-	dist := make([]float64, n)
-	for iter := 0; iter <= n; iter++ {
-		changed := false
-		for _, e := range edges {
-			w := float64(e.Latency) - lambda*float64(e.Tokens)
-			if nd := dist[e.From] + w; nd > dist[e.To]+1e-12 {
-				dist[e.To] = nd
-				changed = true
-			}
+// parentLoop reports whether the parent pointers contain a cycle.
+func (r *relaxer[W]) parentLoop() bool {
+	for v := range r.mark {
+		r.mark[v] = -1
+	}
+	for s := range r.parent {
+		v := int32(s)
+		for v >= 0 && r.mark[v] < 0 {
+			r.mark[v] = int32(s)
+			v = r.parent[v]
 		}
-		if !changed {
-			return false
+		if v >= 0 && r.mark[v] == int32(s) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // bestRational returns the rational p/q with the smallest q ≤ maxDen lying
@@ -318,7 +420,8 @@ func Critical(g *graph.Graph) (Result, []graph.NodeID, error) {
 
 // CriticalNodes returns the nodes of one cycle achieving the maximum ratio
 // r previously computed by MaxRatio over the same constraint graph, in
-// traversal order. It returns nil if r reports no cycle.
+// traversal order. It returns nil if r reports no cycle, or if some cycle
+// exceeds r (r is not the maximum ratio of this graph).
 //
 // With weights w = Den·latency − Num·tokens no positive cycle exists and a
 // critical cycle has total weight exactly zero. Longest-path potentials
@@ -331,28 +434,21 @@ func CriticalNodes(n int, edges []Edge, r Result) []int {
 	if !r.HasCycle {
 		return nil
 	}
-	w := make([]int64, len(edges))
-	for i, e := range edges {
-		w[i] = r.Den*e.Latency - r.Num*e.Tokens
+	c := newCSR(n, edges)
+	cw := make([]int64, len(edges))
+	for k := range cw {
+		cw[k] = r.Den*c.lat[k] - r.Num*c.tok[k]
 	}
-	// Longest-path potentials: no positive cycle exists, so simple paths
-	// attain the optimum and n rounds of relaxation converge.
-	dist := make([]int64, n)
-	for iter := 0; iter <= n; iter++ {
-		changed := false
-		for i, e := range edges {
-			if nd := dist[e.From] + w[i]; nd > dist[e.To] {
-				dist[e.To] = nd
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
+	// Longest-path potentials: with no positive cycle, simple paths attain
+	// the optimum and the labels are unique.
+	lr := newRelaxer[int64](n)
+	if !lr.relax(c, cw, 0) {
+		return nil // r is below the true maximum ratio
 	}
+	dist := lr.dist
 	adj := make([][]int, n) // tight-edge adjacency: node -> successor nodes
-	for i, e := range edges {
-		if dist[e.From]+w[i] == dist[e.To] {
+	for _, e := range edges {
+		if dist[e.From]+r.Den*e.Latency-r.Num*e.Tokens == dist[e.To] {
 			adj[e.From] = append(adj[e.From], e.To)
 		}
 	}

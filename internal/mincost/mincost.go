@@ -6,19 +6,28 @@
 // minimum number of buffer stages "is equivalent to the linear programming
 // dual of the min-cost flow problem". Package balance builds that flow
 // network and reads the optimal buffer levels off this solver's final node
-// potentials.
+// potentials; package place solves its cell-to-PE assignment rounds here.
 //
 // Costs may be negative (balance uses cost −w edges); the network must not
-// contain a negative-cost directed cycle of positive capacity. Sizes here
-// are modest (thousands of nodes), so Bellman-Ford per augmentation is
-// entirely adequate and avoids the potential-initialization subtleties of
-// Dijkstra-based variants.
+// contain a negative-cost directed cycle of positive capacity.
+//
+// Every path search is an active-set Bellman-Ford (relax): passes sweep
+// the nodes in index order, as the textbook algorithm does, but skip each
+// node whose label has not changed since it was last scanned, a scan that
+// could not improve any label. The augmenting paths, flows and potentials
+// are therefore exactly those of the plain algorithm, at a cost
+// proportional to the labels that actually move. A Dijkstra (primal-dual)
+// search on reduced costs would be asymptotically faster but breaks ties
+// between equal-cost paths differently; the optimal potentials would not
+// change, but package place's assignments, and through them the placed
+// machine's cycle counts, would.
 package mincost
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // edge is half of an arc pair: edges[i] and edges[i^1] are a forward edge
@@ -34,6 +43,11 @@ type Graph struct {
 	n     int
 	edges []edge
 	adj   [][]int // adjacency lists of edge indices
+
+	// Path-search scratch, sized to n and reused by every augmentation.
+	dist   []int64
+	prev   []int
+	active []uint64 // bitset of nodes to scan
 }
 
 // New returns a network with n nodes numbered 0..n-1.
@@ -80,52 +94,89 @@ var ErrNegativeCycle = errors.New("mincost: negative-cost cycle in network")
 
 const inf = math.MaxInt64 / 4
 
-// bellmanFord computes shortest distances from s over residual edges,
-// returning the distance array and, for path reconstruction, the incoming
-// edge index per node. It returns ErrNegativeCycle if a negative cycle is
-// reachable.
-func (g *Graph) bellmanFord(s int) ([]int64, []int, error) {
-	dist := make([]int64, g.n)
-	prev := make([]int, g.n)
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
+// scratch sizes the path-search buffers to the current node count; nodes
+// added since the last solve grow them.
+func (g *Graph) scratch() {
+	if len(g.dist) != g.n {
+		g.dist = make([]int64, g.n)
+		g.prev = make([]int, g.n)
+		g.active = make([]uint64, (g.n+63)/64)
 	}
-	dist[s] = 0
+}
+
+// relax runs Bellman-Ford passes over the residual edges, lowering the
+// labels in dist (and recording each node's incoming edge in prev, when
+// non-nil) until a pass changes nothing. The nodes marked in g.active on
+// entry are the ones the first pass scans.
+//
+// Each pass visits the nodes in index order like a full sweep, but scans
+// only nodes marked active: a node is marked when its label drops and
+// unmarked when it is scanned. An unmarked node was last scanned at its
+// current label, so every residual edge u→v already has dist[v] ≤
+// dist[u]+cost (capacities are fixed during a search and labels only
+// fall); scanning it again could not strictly improve anything. The
+// updates, the pass count and the negative-cycle verdict are thus exactly
+// those of the full sweep.
+func (g *Graph) relax(dist []int64, prev []int) error {
+	active := g.active
 	for iter := 0; ; iter++ {
 		changed := false
-		for u := 0; u < g.n; u++ {
-			if dist[u] >= inf {
-				continue
-			}
-			for _, id := range g.adj[u] {
-				e := g.edges[id]
-				if e.cap <= 0 {
-					continue
+		for wi := range active {
+			for w := active[wi]; w != 0; {
+				b := bits.TrailingZeros64(w)
+				u := wi<<6 | b
+				active[wi] &^= 1 << b
+				for _, id := range g.adj[u] {
+					e := &g.edges[id]
+					if e.cap <= 0 {
+						continue
+					}
+					if nd := dist[u] + e.cost; nd < dist[e.to] {
+						dist[e.to] = nd
+						if prev != nil {
+							prev[e.to] = id
+						}
+						active[e.to>>6] |= 1 << (e.to & 63)
+						changed = true
+					}
 				}
-				if nd := dist[u] + e.cost; nd < dist[e.to] {
-					dist[e.to] = nd
-					prev[e.to] = id
-					changed = true
-				}
+				// Later nodes of this word marked during the scan join
+				// this pass; u and earlier ones wait for the next.
+				w = active[wi] & (^uint64(0) << (b + 1))
 			}
 		}
 		if !changed {
-			return dist, prev, nil
+			return nil
 		}
 		if iter >= g.n {
-			return nil, nil, ErrNegativeCycle
+			return ErrNegativeCycle
 		}
 	}
+}
+
+// bellmanFord computes shortest distances from s over residual edges into
+// g.dist and, for path reconstruction, the incoming edge index per node
+// into g.prev. It returns ErrNegativeCycle if a negative cycle is
+// reachable.
+func (g *Graph) bellmanFord(s int) error {
+	for i := range g.dist {
+		g.dist[i] = inf
+		g.prev[i] = -1
+	}
+	clear(g.active)
+	g.dist[s] = 0
+	g.active[s>>6] |= 1 << (s & 63)
+	return g.relax(g.dist, g.prev)
 }
 
 // MinCostMaxFlow pushes as much flow as possible from s to t at minimum
 // total cost and returns (flow, cost).
 func (g *Graph) MinCostMaxFlow(s, t int) (int64, int64, error) {
+	g.scratch()
+	dist, prev := g.dist, g.prev
 	var flow, cost int64
 	for {
-		dist, prev, err := g.bellmanFord(s)
-		if err != nil {
+		if err := g.bellmanFord(s); err != nil {
 			return 0, 0, err
 		}
 		if dist[t] >= inf {
@@ -159,26 +210,16 @@ func (g *Graph) MinCostMaxFlow(s, t int) (int64, int64, error) {
 // optimal duals of the flow LP — exactly the balancing levels package
 // balance needs (negated).
 func (g *Graph) Potentials() ([]int64, error) {
+	g.scratch()
 	dist := make([]int64, g.n)
-	for iter := 0; ; iter++ {
-		changed := false
-		for u := 0; u < g.n; u++ {
-			for _, id := range g.adj[u] {
-				e := g.edges[id]
-				if e.cap <= 0 {
-					continue
-				}
-				if nd := dist[u] + e.cost; nd < dist[e.to] {
-					dist[e.to] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return dist, nil
-		}
-		if iter >= g.n {
-			return nil, ErrNegativeCycle
-		}
+	for i := range g.active {
+		g.active[i] = ^uint64(0)
 	}
+	if r := g.n & 63; r != 0 {
+		g.active[len(g.active)-1] = 1<<r - 1
+	}
+	if err := g.relax(dist, nil); err != nil {
+		return nil, err
+	}
+	return dist, nil
 }

@@ -1,6 +1,7 @@
 package mincost
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +202,27 @@ func TestQuickBipartiteFlow(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSolveScratchIsPerCall pins the solver's allocation profile: a solve
+// allocates its scratch once, however many paths it augments.
+func TestSolveScratchIsPerCall(t *testing.T) {
+	const runs = 5
+	graphs := make([]*Graph, runs+1)
+	for i := range graphs {
+		graphs[i], _, _ = placeNet(rand.New(rand.NewSource(9)))
+	}
+	next := 0
+	var flow int64
+	allocs := testing.AllocsPerRun(runs, func() {
+		flow, _, _ = graphs[next].MinCostMaxFlow(0, 1)
+		next++
+	})
+	if flow < 10 {
+		t.Fatalf("only %d augmentations; the network is too small to tell", flow)
+	}
+	if allocs > 6 {
+		t.Errorf("%.0f allocations for %d augmentations, want at most 6 per solve", allocs, flow)
 	}
 }

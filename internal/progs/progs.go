@@ -2,8 +2,9 @@
 // workloads used by the benchmarks, the dfbench tool, and the runnable
 // examples: the §3/Fig 2 scalar pipeline, the Fig 4 smoothing kernel, the
 // Fig 5 conditional, Example 1 (Fig 6), Example 2 (Figs 7–8), their Fig 3
-// composition, and a multi-block "weather-style" physics kernel in the
-// spirit of the application codes the authors analyzed [7].
+// composition, a multi-block "weather-style" physics kernel in the spirit
+// of the application codes the authors analyzed [7], and a seeded
+// generator of random pipe-structured programs for property tests.
 package progs
 
 import (

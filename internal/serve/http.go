@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -35,12 +36,22 @@ func (s *Service) Register(mux *http.ServeMux) {
 	}
 }
 
+// writeJSON answers status with v as indented JSON. v is encoded before
+// the status goes out, so a value JSON cannot represent — a ±Inf or NaN
+// output — answers 500 with the error envelope rather than a 200 with an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		enc.Encode(errorBody{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // errorBody is the JSON error envelope.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -321,5 +322,35 @@ func TestStreamJSONRoundTrip(t *testing.T) {
 		if out[i] != in[i] {
 			t.Fatalf("[%d] %v != %v", i, out[i], in[i])
 		}
+	}
+}
+
+// TestWriteJSONUnencodableResult pins the failure path of the response
+// encoder: a result holding +Inf has no JSON form, so the answer must be a
+// 500 carrying the error envelope, not a 200 with an empty body.
+func TestWriteJSONUnencodableResult(t *testing.T) {
+	view := JobView{ID: 7, State: StateDone, Result: &JobResult{
+		Clean:   true,
+		Outputs: map[string]Output{"Y": {Lo: 1, Values: Stream{value.R(1), value.R(math.Inf(1))}}},
+	}}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, view)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %q", rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || !strings.Contains(eb.Error, "Inf") {
+		t.Fatalf("body %q does not decode to an error envelope naming the value (%v)", rec.Body.String(), err)
+	}
+
+	view.Result.Outputs["Y"].Values[1] = value.R(2)
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, view)
+	var back JobView
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &back) != nil || back.ID != 7 {
+		t.Fatalf("finite result: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }

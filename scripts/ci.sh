@@ -32,6 +32,18 @@ go test -race -count=3 -run 'TestLiveConcurrentSnapshot|TestConcurrentScrapeDuri
 echo "== differential pass quick-check =="
 go test -run 'TestDifferential' ./internal/core/
 
+echo "== solver identity =="
+# The compile-path solvers must return exactly what the full-sweep
+# Bellman-Ford solvers they replaced returned: differential tests against
+# the _test.go oracles in mincost and mcm, and digest pins of the balance
+# levels and placements built on them.
+go test -count=1 -run 'Oracle' ./internal/mincost ./internal/mcm ./internal/balance ./internal/place
+
+echo "== perfbench vet and tests =="
+# The repository benchmark is its own module; an API change that breaks
+# it fails here rather than when the benchmark next runs.
+go -C perfbench vet ./... && go -C perfbench test ./...
+
 echo "== sharded engine race pin =="
 # The sharded parallel engine's worker loops (spin barriers, cross-shard
 # rings, merge phases) get a dedicated repeated race pass over small graphs
