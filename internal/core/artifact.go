@@ -220,10 +220,11 @@ func (a *Artifact) bindOpts(b Binding) Options {
 	return o
 }
 
-// checkInputs validates the binding against the program's declared inputs
-// without touching the graph, then narrows it to exactly the declared
-// names (extra keys are ignored, matching the legacy SetInputs contract).
-func (a *Artifact) checkInputs(inputs map[string][]value.Value) (map[string][]value.Value, error) {
+// BindInputs validates inputs against the program's declared inputs
+// without touching the graph, then narrows them to exactly the declared
+// names (extra keys are ignored, matching the legacy SetInputs contract):
+// the per-run binding either simulator takes as its Inputs option.
+func (a *Artifact) BindInputs(inputs map[string][]value.Value) (map[string][]value.Value, error) {
 	if err := a.Compiled.CheckInputs(inputs); err != nil {
 		return nil, err
 	}
@@ -248,7 +249,7 @@ func (a *Artifact) setGraphAttrs(ctx context.Context) {
 // travel via exec.Options.Inputs, so any number of goroutines may Run one
 // Artifact concurrently.
 func (a *Artifact) Run(b Binding, inputs map[string][]value.Value) (*RunResult, error) {
-	binds, err := a.checkInputs(inputs)
+	binds, err := a.BindInputs(inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +304,7 @@ func (a *Artifact) RunBatch(bd Binding, inputs map[string][]value.Value, laneInp
 			}
 		}
 	}
-	binds, err := a.checkInputs(inputs)
+	binds, err := a.BindInputs(inputs)
 	if err != nil {
 		return nil, err
 	}

@@ -74,9 +74,9 @@ type Options struct {
 	// Batch widens every Run to this many independent token lanes advancing
 	// through the one compiled graph (see exec.Options.Batch). Run feeds all
 	// lanes the program's bound inputs; RunBatch rebinds per-lane inputs and
-	// returns per-lane views. Lane 0 is always byte-identical to a scalar
-	// run; 0 or 1 runs the scalar engine. With Batch > 1 Workers shards by
-	// lane ranges.
+	// returns per-lane views. Lane 0 is always byte-identical to an
+	// unbatched run; 0 or 1 runs one lane. With Batch > 1 Workers shards
+	// by lane ranges.
 	Batch int
 	// Ctx, if non-nil, cancels in-flight Runs early (see exec.Options.Ctx:
 	// polled every exec.CancelCadence cycles, zero perturbation when the

@@ -1,15 +1,16 @@
-// Batched multi-stream engine: one compiled graph, B independent input
-// streams, arc state widened to B token lanes (the ROADMAP's throughput
-// analogue of §9's delay-for-rate interleaving — independent iterations
-// share one mapped graph so interpretation cost is amortized).
+// The lane engine: the one implementation of the §3 firing rule. Every run
+// plans and applies its firings here; a scalar run is the one-lane case.
+// One compiled graph carries B independent input streams, arc state
+// widened to B token lanes (the ROADMAP's throughput analogue of §9's
+// delay-for-rate interleaving — independent iterations share one mapped
+// graph so interpretation cost is amortized).
 //
 // Layout is structure-of-arrays, lane-minor: arc slot state lives at index
 // arcID*B+lane, source positions and firing counters at nodeID*B+lane, so
 // one cell's B lanes are contiguous. The candidate set is a dense cell
 // bitset paired with a per-cell 64-bit lane mask (hence the MaxBatch = 64
 // lane limit): a (cell, lane) pair is re-planned only when one of that
-// lane's input arcs fills or output arcs drains — the scalar engine's
-// event-driven rule applied per lane.
+// lane's input arcs fills or output arcs drains.
 //
 // Amortization is what makes batching pay: cells whose plan shape is
 // lane-invariant (sources, sinks, and ordinary operators with ungated
@@ -20,18 +21,21 @@
 // lane-varying residue (operand presence bits, token moves, ApplyOp)
 // costs per lane. Cells whose consume/produce arc sets depend on token
 // values (merge selection, gates, gated destinations, control generators)
-// fall back to exact per-lane records.
+// fall back to exact per-lane records (planLane, which is also the stall
+// classifier).
 //
 // Lanes are mutually independent — a lane's firing decisions read only
-// that lane's slots — so each lane's execution is provably the scalar
-// engine's execution of that lane's streams, advanced on a shared cycle
-// counter. Lane 0 is byte-identical to a scalar run (outputs, arrival
+// that lane's slots — so each lane's execution is exactly a one-lane run
+// of that lane's streams, advanced on a shared cycle counter. Lane 0 of a
+// batched run is byte-identical to an unbatched run (outputs, arrival
 // cycles, firings, stall diagnostics, trace event stream); differential
-// tests and the CI sweep pin this. Lane independence is also why Workers
-// shards a batched run by contiguous lane ranges: the workers share no
-// mutable state (their lane slots interleave but never alias) and need no
-// barriers, so determinism for any worker count holds by construction
-// rather than by phase protocol.
+// tests against the sequential oracle kept in oracle_test.go and the CI
+// sweep pin this. Lane independence is also why Workers shards a batched
+// run by contiguous lane ranges: the workers share no mutable state (their
+// lane slots interleave but never alias) and need no barriers, so
+// determinism for any worker count holds by construction. An unbatched
+// run with Workers > 1 instead splits the cells among one-lane workers
+// (parallel.go).
 package exec
 
 import (
@@ -49,8 +53,8 @@ import (
 const MaxBatch = 64
 
 // LaneResult is one lane's view of a batched run. Its fields mean exactly
-// what the same-named Result fields mean for a scalar run of that lane's
-// input streams.
+// what the same-named Result fields mean for an unbatched run of that
+// lane's input streams.
 type LaneResult struct {
 	Cycles   int
 	Firings  []int
@@ -61,9 +65,9 @@ type LaneResult struct {
 	Stalled  []string
 }
 
-// Lane returns lane l's view of a batched result in the scalar Result
+// Lane returns lane l's view of a batched result in the unbatched Result
 // shape, so lane consumers (II measurement, Describe, the service layer)
-// reuse every scalar helper unchanged. On a scalar result Lane(0) is the
+// reuse every helper unchanged. On an unbatched result Lane(0) is the
 // result itself; out-of-range lanes return nil.
 func (r *Result) Lane(l int) *Result {
 	if r.Batch <= 1 {
@@ -88,12 +92,11 @@ func (r *Result) Lane(l int) *Result {
 	}
 }
 
-// bShape classifies how a cell is planned in the batched engine.
+// bShape classifies how a cell is planned.
 type bShape uint8
 
 const (
 	bShapeSlow   bShape = iota // per-lane exact planning (merge, gates, ctlgen, gated outs)
-	bShapeDead                 // an unbound operand: never fires
 	bShapeSource               // stream source, ungated destinations
 	bShapeSink                 // arc-fed sink
 	bShapeApply                // ordinary operator, ungated destinations
@@ -106,51 +109,53 @@ type bOut struct {
 	gate int32
 }
 
-// bInst is the flat decoded form of one instruction cell, derived once so
-// the per-cycle plan never chases graph.Node pointers.
+// bInst is the flat decoded form of one instruction cell, derived once by
+// Prepare so the per-cycle plan never chases graph.Node pointers. Its
+// slices are carved from tables the Prepared allocates once.
 type bInst struct {
+	node  *graph.Node
 	op    graph.Op
 	shape bShape
-	node  *graph.Node
-	ins   []int32       // arc ID per operand port; -1 = literal or unbound
-	lits  []value.Value // literal per port where ins[p] < 0 (Invalid = unbound)
-	cins  []int32       // the non-literal entries of ins, in port order
-	outs  []bOut
 	sink  int32 // dense sink index (sinks only; -1 otherwise)
-	// streams holds the per-lane source stream (sources only; lane 0 is
-	// the graph's bound stream).
-	streams [][]value.Value
+	src   int32 // dense source index (sources only; -1 otherwise)
+	// ins holds each operand port's arc ID, or for a literal port -1
+	// minus the literal's index in Prepared.lits (see Prepared.lit).
+	ins  []int32
+	cins []int32 // the arc-fed entries of ins, in port order
+	outs []bOut
 }
 
-// bsim is the lane-widened machine state shared by all lane-range workers.
-// Workers touch only their own lanes' interleaved slots, so no field here
-// needs synchronization.
-type bsim struct {
-	g *graph.Graph
-	B int
+// laneState is one lane's run bookkeeping.
+type laneState struct {
+	cycles   int
+	done     bool
+	canceled bool
+	maxed    bool
+	outCap   int // the lane's longest source stream: the sink buffer size hint
+}
 
-	insts   []bInst
-	arcFrom []int32
-	arcTo   []int32
-	arcPort []int32
+// bsim is one run's lane-widened machine state, shared by all workers.
+// Lane-range workers touch only their own lanes' interleaved slots and
+// cell-shard workers only the slots the firing rule gives them (see
+// parallel.go), so no field here needs synchronization.
+type bsim struct {
+	Prepared // a copy, so the hot loops reach the program in one load
+	B        int
+
+	streams [][]value.Value // bound source stream, srcIdx*B+lane
 
 	has    []bool        // token presence, arcID*B+lane
 	val    []value.Value // token value, arcID*B+lane
 	srcPos []int32       // next stream index, nodeID*B+lane
 	frns   []int         // firing counts, nodeID*B+lane
 
-	sinkLabels []string        // label per dense sink index
-	sinkOuts   [][]value.Value // received stream, sinkIdx*B+lane
+	sinkOuts [][]value.Value // received stream, sinkIdx*B+lane
 	// sinkCycs holds arrival cycles parallel to sinkOuts; the hot sink
 	// loop appends 8 bytes per token and assemble zips the two into the
 	// result's []Arrival once, instead of copying every value twice.
 	sinkCycs [][]int64
-	outCap   []int // per-lane preallocation hint
 
-	laneCycles   []int
-	laneDone     []bool
-	laneCanceled []bool
-	laneMaxed    []bool
+	lanes []laneState
 
 	tr       trace.Tracer
 	trc      func(int, *graph.Node, value.Value)
@@ -160,24 +165,89 @@ type bsim struct {
 	maxCycles int
 }
 
-// runBatched is the Batch > 1 entry point; g is already validated and
-// FIFO-expanded by Run, and streams carries the per-node resolved base
-// source binding every lane defaults to (see resolveStreams).
-func runBatched(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, B int) (*Result, error) {
+// newBsim allocates one run's state over the decoded program and binds its
+// source streams (see Options.Inputs and Options.LaneInputs).
+func newBsim(p *Prepared, opt Options, maxCycles, B int) (*bsim, error) {
 	if B > MaxBatch {
 		return nil, fmt.Errorf("exec: Batch %d exceeds the %d-lane limit", B, MaxBatch)
 	}
-	s, err := newBsim(g, opt, streams, maxCycles, B)
-	if err != nil {
-		return nil, err
+	laneInputs := opt.LaneInputs
+	if B == 1 {
+		laneInputs = nil // lane 0 always runs the base streams
 	}
-	w := opt.Workers
-	if w > B {
-		w = B
+	if len(laneInputs) > B {
+		return nil, fmt.Errorf("exec: %d lane input sets for %d lanes", len(laneInputs), B)
 	}
-	if w < 1 {
-		w = 1
+	for name := range opt.Inputs {
+		if !p.srcLabels[name] {
+			return nil, fmt.Errorf("exec: input %q names no source cell", name)
+		}
 	}
+	for l, li := range laneInputs {
+		for name := range li {
+			if !p.srcLabels[name] {
+				return nil, fmt.Errorf("exec: lane %d input %q names no source cell", l, name)
+			}
+		}
+	}
+	nn, na := p.g.NumNodes(), p.g.NumArcs()
+	s := &bsim{
+		Prepared: *p, B: B,
+		streams:  make([][]value.Value, len(p.sources)*B),
+		has:      make([]bool, na*B),
+		val:      make([]value.Value, na*B),
+		srcPos:   make([]int32, nn*B),
+		frns:     make([]int, nn*B),
+		sinkOuts: make([][]value.Value, len(p.sinkLabels)*B),
+		sinkCycs: make([][]int64, len(p.sinkLabels)*B),
+		lanes:    make([]laneState, B),
+
+		tr: opt.Tracer, trc: opt.Trace, prog: opt.Progress,
+		maxCycles: maxCycles,
+	}
+	for k, id := range p.sources {
+		n := p.g.Node(id)
+		base := n.Stream
+		if sv, ok := opt.Inputs[n.Label]; ok {
+			base = sv
+		}
+		for l := 0; l < B; l++ {
+			stream := base
+			if l > 0 && l < len(laneInputs) {
+				if sv, ok := laneInputs[l][n.Label]; ok {
+					stream = sv
+				}
+			}
+			s.streams[k*B+l] = stream
+			s.lanes[l].outCap = max(s.lanes[l].outCap, len(stream))
+		}
+	}
+	for _, a := range p.g.Arcs() {
+		if a.Init != nil {
+			for l := 0; l < B; l++ {
+				s.has[a.ID*B+l] = true
+				s.val[a.ID*B+l] = *a.Init
+			}
+		}
+	}
+	if s.tr != nil {
+		names := make([]string, nn)
+		for _, n := range p.g.Nodes() {
+			names[n.ID] = n.Name()
+		}
+		s.tr.Start(trace.Meta{Cells: names})
+	}
+	if s.prog != nil && B > 1 {
+		s.laneCtrs = s.prog.InitLanes(B)
+	}
+	return s, nil
+}
+
+// runLanes runs the lanes on min(Workers, B) lane-range workers (one
+// worker at B = 1).
+func (s *bsim) runLanes(opt Options) (*Result, error) {
+	B := s.B
+	w := min(max(opt.Workers, 1), B)
 	workers := make([]*bworker, w)
 	per, extra := B/w, B%w
 	lo := 0
@@ -186,7 +256,7 @@ func runBatched(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles,
 		if i < extra {
 			n++
 		}
-		workers[i] = newBworker(s, opt, lo, lo+n, i == 0)
+		workers[i] = newBworker(s, opt, lo, lo+n, i == 0, nil)
 		lo += n
 	}
 	if w == 1 {
@@ -205,137 +275,19 @@ func runBatched(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles,
 	return s.assemble(opt)
 }
 
-func newBsim(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, B int) (*bsim, error) {
-	if len(opt.LaneInputs) > B {
-		return nil, fmt.Errorf("exec: %d lane input sets for %d lanes", len(opt.LaneInputs), B)
-	}
-	nn, na := g.NumNodes(), g.NumArcs()
-	s := &bsim{
-		g: g, B: B,
-		insts:   make([]bInst, nn),
-		arcFrom: make([]int32, na),
-		arcTo:   make([]int32, na),
-		arcPort: make([]int32, na),
-		has:     make([]bool, na*B),
-		val:     make([]value.Value, na*B),
-		srcPos:  make([]int32, nn*B),
-		frns:    make([]int, nn*B),
-		outCap:  make([]int, B),
-
-		laneCycles:   make([]int, B),
-		laneDone:     make([]bool, B),
-		laneCanceled: make([]bool, B),
-		laneMaxed:    make([]bool, B),
-
-		tr: opt.Tracer, trc: opt.Trace, prog: opt.Progress,
-		maxCycles: maxCycles,
-	}
-	srcLabels := map[string]bool{}
-	for _, n := range g.Nodes() {
-		if n.Op == graph.OpSource {
-			srcLabels[n.Label] = true
+// sinkAppend records value v arriving at sink k in lane l. A slot's first
+// arrival sizes its buffers for the lane's longest source stream, so
+// steady-state appends never reallocate.
+func (s *bsim) sinkAppend(k, l int, v value.Value, cycle int) {
+	i := k*s.B + l
+	if s.sinkOuts[i] == nil {
+		if c := s.lanes[l].outCap; c > 0 {
+			s.sinkOuts[i] = make([]value.Value, 0, c)
+			s.sinkCycs[i] = make([]int64, 0, c)
 		}
 	}
-	for l, li := range opt.LaneInputs {
-		for name := range li {
-			if !srcLabels[name] {
-				return nil, fmt.Errorf("exec: lane %d input %q names no source cell", l, name)
-			}
-		}
-	}
-	seenSinks := map[string]bool{}
-	for _, n := range g.Nodes() {
-		inst := &s.insts[n.ID]
-		inst.op = n.Op
-		inst.node = n
-		inst.sink = -1
-		if len(n.In) > 0 {
-			inst.ins = make([]int32, len(n.In))
-			inst.lits = make([]value.Value, len(n.In))
-			for p, in := range n.In {
-				switch {
-				case in.Literal != nil:
-					inst.ins[p] = -1
-					inst.lits[p] = *in.Literal
-				case in.Arc != nil:
-					inst.ins[p] = int32(in.Arc.ID)
-					inst.cins = append(inst.cins, int32(in.Arc.ID))
-				default:
-					inst.ins[p] = -1 // unbound: lits[p] stays Invalid, never ready
-				}
-			}
-		}
-		gated := false
-		for _, a := range n.Out {
-			inst.outs = append(inst.outs, bOut{aid: int32(a.ID), gate: int32(a.Gate)})
-			gated = gated || a.Gate != graph.NoGate
-		}
-		switch n.Op {
-		case graph.OpSink:
-			if seenSinks[n.Label] {
-				return nil, fmt.Errorf("exec: duplicate sink label %q", n.Label)
-			}
-			seenSinks[n.Label] = true
-			inst.sink = int32(len(s.sinkLabels))
-			s.sinkLabels = append(s.sinkLabels, n.Label)
-			if len(inst.ins) > 0 && inst.ins[0] >= 0 && !gated {
-				inst.shape = bShapeSink
-			}
-		case graph.OpSource:
-			inst.streams = make([][]value.Value, B)
-			for l := 0; l < B; l++ {
-				inst.streams[l] = streams[n.ID]
-				if l > 0 && l < len(opt.LaneInputs) && opt.LaneInputs[l] != nil {
-					if sv, ok := opt.LaneInputs[l][n.Label]; ok {
-						inst.streams[l] = sv
-					}
-				}
-				if len(inst.streams[l]) > s.outCap[l] {
-					s.outCap[l] = len(inst.streams[l])
-				}
-			}
-			if !gated {
-				inst.shape = bShapeSource
-			}
-		case graph.OpCtlGen, graph.OpMerge, graph.OpTGate, graph.OpFGate:
-			// plan shape varies with token values: exact per-lane path
-		default:
-			unbound := false
-			for p, aid := range inst.ins {
-				unbound = unbound || (aid < 0 && !inst.lits[p].Valid())
-			}
-			switch {
-			case unbound:
-				inst.shape = bShapeDead
-			case !gated:
-				inst.shape = bShapeApply
-			}
-		}
-	}
-	s.sinkOuts = make([][]value.Value, len(s.sinkLabels)*B)
-	s.sinkCycs = make([][]int64, len(s.sinkLabels)*B)
-	for _, a := range g.Arcs() {
-		s.arcFrom[a.ID] = int32(a.From)
-		s.arcTo[a.ID] = int32(a.To)
-		s.arcPort[a.ID] = int32(a.ToPort)
-		if a.Init != nil {
-			for l := 0; l < B; l++ {
-				s.has[a.ID*B+l] = true
-				s.val[a.ID*B+l] = *a.Init
-			}
-		}
-	}
-	if s.tr != nil {
-		names := make([]string, nn)
-		for _, n := range g.Nodes() {
-			names[n.ID] = n.Name()
-		}
-		s.tr.Start(trace.Meta{Cells: names})
-	}
-	if s.prog != nil {
-		s.laneCtrs = s.prog.InitLanes(B)
-	}
-	return s, nil
+	s.sinkOuts[i] = append(s.sinkOuts[i], v)
+	s.sinkCycs[i] = append(s.sinkCycs[i], int64(cycle))
 }
 
 // bfiring is one firing record: a cell plus the mask of lanes firing it
@@ -357,10 +309,11 @@ type bfiring struct {
 	inPlace bool
 }
 
-// bworker advances the contiguous lane range [l0, l1). The worker owning
-// lane 0 (traced) additionally drives tracing and the progress cycle
-// counter. Workers share the bsim's flat state but write only their own
-// lanes' slots.
+// bworker advances the contiguous lane range [l0, l1) over its cells: every
+// cell, or in a graph-sharded run the cells of its shard. The worker
+// owning lane 0 of an unsharded run (traced) additionally drives tracing
+// and the progress cycle counter. Workers share the bsim's flat state but
+// write only their own slots.
 type bworker struct {
 	s      *bsim
 	l0, l1 int
@@ -379,20 +332,40 @@ type bworker struct {
 	canceled bool
 }
 
-func newBworker(s *bsim, opt Options, l0, l1 int, traced bool) *bworker {
+// newBworker seeds a worker with its cells (own, or every cell when own is
+// nil) pending in all its lanes. The plan arenas start at the size a
+// one-lane cycle can fill — one record per cell, each arc consumed and
+// produced at most once — so steady-state runs never grow them.
+func newBworker(s *bsim, opt Options, l0, l1 int, traced bool, own []graph.NodeID) *bworker {
+	nn := s.g.NumNodes()
+	cells := nn
+	if own != nil {
+		cells = len(own)
+	}
+	words := (nn + 63) / 64
+	sets := make(bitset, 2*words) // cand and next, one allocation
 	w := &bworker{
 		s: s, l0: l0, l1: l1, traced: traced,
-		cand: newBitset(s.g.NumNodes()),
-		next: newBitset(s.g.NumNodes()),
-		mask: make([]uint64, s.g.NumNodes()),
+		cand:    sets[:words:words],
+		next:    sets[words:],
+		mask:    make([]uint64, nn),
+		plans:   make([]bfiring, 0, cells),
+		arcIDs:  make([]int32, 0, 2*s.g.NumArcs()),
+		outVals: make([]value.Value, 0, cells*s.B),
 	}
 	if opt.Ctx != nil {
 		w.done = opt.Ctx.Done()
 	}
 	w.all = w.laneBits()
-	for i := range s.insts {
-		w.cand.set(i)
-		w.mask[i] = w.all
+	if own == nil {
+		for i := range s.insts {
+			w.cand.set(i)
+			w.mask[i] = w.all
+		}
+	}
+	for _, id := range own {
+		w.cand.set(int(id))
+		w.mask[id] = w.all
 	}
 	return w
 }
@@ -406,10 +379,9 @@ func (w *bworker) laneBits() uint64 {
 	return (uint64(1)<<uint(n) - 1) << uint(w.l0)
 }
 
-// run is the worker's cycle loop — the batched analogue of Run's scalar
-// loop. A lane quiesces at the first cycle it contributes no firing (no
-// firing means no state change, so none ever follow — the same fixed
-// point the scalar loop's empty-collect break detects).
+// run is the worker's cycle loop. A lane quiesces at the first cycle it
+// contributes no firing (no firing means no state change, so none ever
+// follow); the loop ends when no lane fires.
 func (w *bworker) run() {
 	s := w.s
 	alive := w.laneBits()
@@ -439,8 +411,8 @@ func (w *bworker) run() {
 		if quiet := alive &^ fired; quiet != 0 {
 			for q := quiet; q != 0; q &= q - 1 {
 				l := bits.TrailingZeros64(q)
-				s.laneDone[l] = true
-				s.laneCycles[l] = cycle
+				s.lanes[l].done = true
+				s.lanes[l].cycles = cycle
 				if s.laneCtrs != nil {
 					s.laneCtrs[l].Cycles.Store(int64(cycle))
 					s.laneCtrs[l].Done.Store(1)
@@ -453,29 +425,33 @@ func (w *bworker) run() {
 				s.laneCtrs[bits.TrailingZeros64(a)].Cycles.Store(int64(cycle))
 			}
 		}
-		// Lane-0 stall classification mirrors the scalar engine's: emitted
-		// only on cycles where lane 0 fires at least once (the scalar loop
-		// breaks before classifying on its empty cycle).
+		// Lane-0 stalls are classified only on cycles where lane 0 fires
+		// at least once: a cycle where it fires nothing ends its run.
 		if w.traced && s.tr != nil && fired&1 != 0 {
 			w.emitStalls(cycle, plans)
 		}
+		if w.traced && (s.tr != nil || s.trc != nil) {
+			w.emitCycle(cycle, plans)
+		}
 		w.apply(cycle, plans)
+		w.cand, w.next = w.next, w.cand
 	}
 	for l := w.l0; l < w.l1; l++ {
-		if s.laneDone[l] {
+		ls := &s.lanes[l]
+		if ls.done {
 			continue
 		}
-		s.laneDone[l] = true
-		s.laneCycles[l] = cycle
+		ls.done = true
+		ls.cycles = cycle
 		if s.laneCtrs != nil {
 			s.laneCtrs[l].Cycles.Store(int64(cycle))
 			s.laneCtrs[l].Done.Store(1)
 		}
 		switch {
 		case w.canceled:
-			s.laneCanceled[l] = true
+			ls.canceled = true
 		case cycle >= s.maxCycles:
-			s.laneMaxed[l] = true
+			ls.maxed = true
 		}
 	}
 }
@@ -491,9 +467,8 @@ func (w *bworker) collect() []bfiring {
 		for word != 0 {
 			ci := wi<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			lanes := w.mask[ci]
+			w.planCell(int32(ci), w.mask[ci])
 			w.mask[ci] = 0
-			w.planCell(int32(ci), lanes)
 		}
 	}
 	return w.plans
@@ -521,9 +496,6 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 	B := s.B
 	inst := &s.insts[ci]
 	switch inst.shape {
-	case bShapeDead:
-		return
-
 	case bShapeSlow:
 		for ; lanes != 0; lanes &= lanes - 1 {
 			w.planLane(ci, bits.TrailingZeros64(lanes))
@@ -533,9 +505,10 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 	case bShapeSource:
 		fire := uint64(0)
 		base := int(ci) * B
+		streams := s.streams[int(inst.src)*B : int(inst.src+1)*B]
 		for m := lanes; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			if int(s.srcPos[base+l]) < len(inst.streams[l]) {
+			if int(s.srcPos[base+l]) < len(streams[l]) {
 				fire |= 1 << uint(l)
 			}
 		}
@@ -553,7 +526,7 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 		f.p1 = int32(len(w.arcIDs))
 		for m := fire; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			w.outVals[int(f.v0)+l] = inst.streams[l][s.srcPos[base+l]]
+			w.outVals[int(f.v0)+l] = streams[l][s.srcPos[base+l]]
 		}
 		w.plans = append(w.plans, f)
 
@@ -653,14 +626,14 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
-			w.applyLitRight(inst.op, out, int(inst.ins[0])*B, inst.lits[1], fire)
+			w.applyLitRight(inst.op, out, int(inst.ins[0])*B, s.lit(inst.ins[1]), fire)
 		case len(inst.ins) == 2 && inst.ins[0] < 0 && inst.ins[1] >= 0:
 			if out == nil {
 				f.v0 = w.reserveVals()
 				out = w.outVals[int(f.v0) : int(f.v0)+B : int(f.v0)+B]
 			}
 			a1 := int(inst.ins[1]) * B
-			lit := inst.lits[0]
+			lit := s.lit(inst.ins[0])
 			for m := fire; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
 				out[l] = applyBinary(inst.op, lit, s.val[a1+l])
@@ -686,7 +659,7 @@ func (w *bworker) planCell(ci int32, lanes uint64) {
 					if aid >= 0 {
 						vals[p] = s.val[int(aid)*B+l]
 					} else {
-						vals[p] = inst.lits[p]
+						vals[p] = s.lit(aid)
 					}
 				}
 				out[l] = ApplyOp(inst.op, vals)
@@ -786,13 +759,11 @@ func (w *bworker) destFree(inst *bInst, fire uint64) uint64 {
 }
 
 // operand returns the value at port p of inst in the given lane and
-// whether it is present (literals are always present; an unbound port
-// never is).
+// whether it is present (literals always are).
 func (w *bworker) operand(inst *bInst, p, lane int) (value.Value, bool) {
 	aid := inst.ins[p]
 	if aid < 0 {
-		lit := inst.lits[p]
-		return lit, lit.Valid()
+		return w.s.lit(aid), true
 	}
 	slot := int(aid)*w.s.B + lane
 	if !w.s.has[slot] {
@@ -808,11 +779,10 @@ func (w *bworker) consumeArc(inst *bInst, p int) {
 	}
 }
 
-// planLane is the scalar engine's plan, transcribed against lane-strided
-// state: it decides whether (cell ci, lane) can fire now and, if enabled,
-// appends a single-lane firing record. The returned reason classifies a
-// stall exactly as the scalar plan does (the stall pass probes through
-// it).
+// planLane is the firing rule for one (cell ci, lane) pair: it decides
+// whether the pair can fire now and, if enabled, appends a single-lane
+// firing record. Otherwise the returned reason classifies the stall (the
+// stall pass probes through it).
 func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 	s := w.s
 	B := s.B
@@ -824,7 +794,7 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 
 	switch inst.op {
 	case graph.OpSource:
-		stream := inst.streams[lane]
+		stream := s.streams[int(inst.src)*B+lane]
 		pos := int(s.srcPos[int(ci)*B+lane])
 		if pos >= len(stream) {
 			return trace.ReasonDone
@@ -961,7 +931,7 @@ func (w *bworker) planLane(ci int32, lane int) trace.Reason {
 }
 
 // probe classifies (cell ci, lane 0) without committing anything to the
-// plan arenas (the stall pass runs between collect and apply).
+// plan arenas (the stall passes run between collect and apply).
 func (w *bworker) probe(ci int32) trace.Reason {
 	nPlans, nArcs, nVals := len(w.plans), len(w.arcIDs), len(w.outVals)
 	why := w.planLane(ci, 0)
@@ -971,8 +941,8 @@ func (w *bworker) probe(ci int32) trace.Reason {
 	return why
 }
 
-// emitStalls classifies every cell that will not fire in lane 0 this
-// cycle, mirroring the scalar engine's stall pass event for event.
+// emitStalls emits one stall event for every cell that waits in lane 0
+// this cycle, in cell order.
 func (w *bworker) emitStalls(cycle int, plans []bfiring) {
 	s := w.s
 	firing := make(map[int32]bool, len(plans))
@@ -994,64 +964,100 @@ func (w *bworker) emitStalls(cycle int, plans []bfiring) {
 	}
 }
 
-// apply commits the cycle's firing records and re-marks the (cell, lane)
-// pairs whose enabledness may have changed. Lane-0 events replay in the
-// scalar engine's exact order: records are collected cell-ascending (with
-// slow-shape lanes inner), so the lane-0 subsequence is cell-ascending —
-// the scalar collect order.
+// emitCycle emits the cycle's lane-0 firing-side trace events in cell
+// order: per record, its firing, acknowledge events and debug callback;
+// then every record's token arrivals. Records are collected cell-ascending
+// (with slow-shape lanes inner), so the lane-0 subsequence is in cell
+// order for any lane count. It runs before apply, while every record's
+// result is still readable.
+func (w *bworker) emitCycle(cycle int, plans []bfiring) {
+	for i := range plans {
+		if plans[i].fire&1 != 0 {
+			w.emitFiring(cycle, &plans[i])
+		}
+	}
+	if w.s.tr != nil {
+		for i := range plans {
+			w.emitTokens(cycle, &plans[i])
+		}
+	}
+}
+
+// emitFiring emits record f's lane-0 firing and acknowledge events and
+// calls the debug callback with its lane-0 result.
+func (w *bworker) emitFiring(cycle int, f *bfiring) {
+	s := w.s
+	if tr := s.tr; tr != nil {
+		tr.Emit(trace.Event{
+			Cycle: int64(cycle), Kind: trace.KindFiring,
+			Cell: f.inst, Port: -1, Unit: -1, Src: -1, Dst: -1,
+		})
+		// draining an arc is the moment the acknowledge packet would
+		// reach its producer
+		for _, aid := range w.arcIDs[f.c0:f.c1] {
+			tr.Emit(trace.Event{
+				Cycle: int64(cycle), Kind: trace.KindAck,
+				Cell: s.arcFrom[aid], Port: -1, Unit: -1, Src: -1, Dst: -1,
+			})
+		}
+	}
+	if s.trc != nil && f.prod&1 != 0 {
+		s.trc(cycle, s.insts[f.inst].node, w.result(f, 0))
+	}
+}
+
+// emitTokens emits record f's lane-0 token-arrival events.
+func (w *bworker) emitTokens(cycle int, f *bfiring) {
+	if f.prod&1 == 0 {
+		return
+	}
+	s := w.s
+	for _, aid := range w.arcIDs[f.p0:f.p1] {
+		s.tr.Emit(trace.Event{
+			Cycle: int64(cycle), Kind: trace.KindToken,
+			Cell: s.arcTo[aid], Port: s.arcPort[aid], Unit: -1, Src: -1, Dst: -1,
+		})
+	}
+}
+
+// apply commits the cycle's firing records and marks, in the next
+// candidate set, the (cell, lane) pairs whose enabledness may have changed;
+// the caller swaps the sets. All consumes land before any produce, so a
+// record's inputs stay readable while the cycle's results are written.
 func (w *bworker) apply(cycle int, plans []bfiring) {
+	w.next.reset()
 	s := w.s
 	B := s.B
-	w.next.reset()
-	var tr trace.Tracer
-	if w.traced {
-		tr = s.tr
-	}
 	for i := range plans {
 		f := &plans[i]
 		ci := int(f.inst)
 		base := ci * B
 		fire := f.fire
 		w.next.set(ci)
-		w.mask[ci] |= fire
-		if fire == w.all {
-			frns := s.frns[base+w.l0 : base+w.l1 : base+w.l1]
-			for l := range frns {
-				frns[l]++
+		w.mask[ci] |= fire // a worker always owns the cells it fires
+		dense := fire == w.all
+		if dense {
+			for l := w.l0; l < w.l1; l++ {
+				s.frns[base+l]++
 			}
 		} else {
 			for m := fire; m != 0; m &= m - 1 {
 				s.frns[base+bits.TrailingZeros64(m)]++
 			}
 		}
-		if tr != nil && fire&1 != 0 {
-			tr.Emit(trace.Event{
-				Cycle: int64(cycle), Kind: trace.KindFiring,
-				Cell: f.inst, Port: -1, Unit: -1, Src: -1, Dst: -1,
-			})
-		}
-		dense := fire == w.all
 		for _, aid := range w.arcIDs[f.c0:f.c1] {
 			ab := int(aid) * B
 			if dense {
-				h := s.has[ab+w.l0 : ab+w.l1]
-				for l := range h {
-					h[l] = false
+				for l := w.l0; l < w.l1; l++ {
+					s.has[ab+l] = false
 				}
 			} else {
 				for m := fire; m != 0; m &= m - 1 {
 					s.has[ab+bits.TrailingZeros64(m)] = false
 				}
 			}
-			producer := int(s.arcFrom[aid])
-			w.next.set(producer)
-			w.mask[producer] |= fire
-			if tr != nil && fire&1 != 0 {
-				tr.Emit(trace.Event{
-					Cycle: int64(cycle), Kind: trace.KindAck,
-					Cell: s.arcFrom[aid], Port: -1, Unit: -1, Src: -1, Dst: -1,
-				})
-			}
+			// the producer of a drained arc may now be enabled
+			w.wake(int(s.arcFrom[aid]), fire)
 		}
 		if f.advance {
 			for m := fire; m != 0; m &= m - 1 {
@@ -1059,21 +1065,16 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 			}
 		}
 		if f.sink {
-			sb := int(s.insts[ci].sink) * B
-			vb := int(f.srcArc) * B // sink records always carry srcArc
-			if fire == w.all && s.laneCtrs == nil {
-				vals := s.val[vb+w.l0 : vb+w.l1 : vb+w.l1]
-				for l, v := range vals {
-					i := sb + w.l0 + l
-					s.sinkOuts[i] = appendPrealloc(s.sinkOuts[i], v, s.outCap[w.l0+l])
-					s.sinkCycs[i] = appendCycPrealloc(s.sinkCycs[i], int64(cycle), s.outCap[w.l0+l])
+			k := int(s.insts[ci].sink)
+			vb := int(f.srcArc) * B
+			if dense && s.laneCtrs == nil && f.srcArc >= 0 {
+				for l := w.l0; l < w.l1; l++ {
+					s.sinkAppend(k, l, s.val[vb+l], cycle)
 				}
 			} else {
 				for m := fire; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
-					v := s.val[vb+l]
-					s.sinkOuts[sb+l] = appendPrealloc(s.sinkOuts[sb+l], v, s.outCap[l])
-					s.sinkCycs[sb+l] = appendCycPrealloc(s.sinkCycs[sb+l], int64(cycle), s.outCap[l])
+					s.sinkAppend(k, l, w.result(f, l), cycle)
 					if s.laneCtrs != nil {
 						s.laneCtrs[l].Arrivals.Add(1)
 					}
@@ -1081,16 +1082,6 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 			}
 			if s.prog != nil {
 				s.prog.Arrivals.Add(int64(bits.OnesCount64(fire)))
-			}
-		}
-		if w.traced && s.trc != nil && f.prod&1 != 0 {
-			switch {
-			case f.srcArc >= 0:
-				s.trc(cycle, s.insts[ci].node, s.val[int(f.srcArc)*B])
-			case f.inPlace:
-				s.trc(cycle, s.insts[ci].node, s.val[int(w.arcIDs[f.p0])*B])
-			default:
-				s.trc(cycle, s.insts[ci].node, w.outVals[f.v0])
 			}
 		}
 	}
@@ -1107,9 +1098,8 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 			case f.inPlace:
 				// values are already in the arc slots; just raise has
 				if dense {
-					h := s.has[ab+w.l0 : ab+w.l1]
-					for l := range h {
-						h[l] = true
+					for l := w.l0; l < w.l1; l++ {
+						s.has[ab+l] = true
 					}
 				} else {
 					for m := prod; m != 0; m &= m - 1 {
@@ -1118,53 +1108,61 @@ func (w *bworker) apply(cycle int, plans []bfiring) {
 				}
 			case dense && f.srcArc >= 0:
 				vb := int(f.srcArc) * B
-				copy(s.val[ab+w.l0:ab+w.l1], s.val[vb+w.l0:vb+w.l1])
-				h := s.has[ab+w.l0 : ab+w.l1]
-				for l := range h {
-					h[l] = true
+				for l := w.l0; l < w.l1; l++ {
+					s.val[ab+l] = s.val[vb+l]
+					s.has[ab+l] = true
 				}
 			case dense:
-				copy(s.val[ab+w.l0:ab+w.l1], w.outVals[int(f.v0)+w.l0:int(f.v0)+w.l1])
-				h := s.has[ab+w.l0 : ab+w.l1]
-				for l := range h {
-					h[l] = true
-				}
-			case f.srcArc >= 0:
-				vb := int(f.srcArc) * B
-				for m := prod; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
+				v0 := int(f.v0)
+				for l := w.l0; l < w.l1; l++ {
+					s.val[ab+l] = w.outVals[v0+l]
 					s.has[ab+l] = true
-					s.val[ab+l] = s.val[vb+l]
 				}
 			default:
 				for m := prod; m != 0; m &= m - 1 {
 					l := bits.TrailingZeros64(m)
+					s.val[ab+l] = w.result(f, l)
 					s.has[ab+l] = true
-					s.val[ab+l] = w.outVals[int(f.v0)+l]
 				}
 			}
-			to := int(s.arcTo[aid])
-			w.next.set(to)
-			w.mask[to] |= prod
-			if tr != nil && prod&1 != 0 {
-				tr.Emit(trace.Event{
-					Cycle: int64(cycle), Kind: trace.KindToken,
-					Cell: s.arcTo[aid], Port: s.arcPort[aid], Unit: -1, Src: -1, Dst: -1,
-				})
-			}
+			w.wake(int(s.arcTo[aid]), prod)
 		}
 	}
-	w.cand, w.next = w.next, w.cand
 }
 
-// drainLane mirrors the scalar drainState for one lane.
+// wake marks cell ci pending in lanes for the next cycle. (A shard worker
+// moves the wake-ups of cells other shards own onto its rings after
+// apply; see shardWorker.route.)
+func (w *bworker) wake(ci int, lanes uint64) {
+	w.next.set(ci)
+	w.mask[ci] |= lanes
+}
+
+// result returns the value record f produces in lane l. It reads the slot
+// the record's values live in, so it is valid from the end of collect until
+// the next collect.
+func (w *bworker) result(f *bfiring, l int) value.Value {
+	B := w.s.B
+	switch {
+	case f.srcArc >= 0:
+		return w.s.val[int(f.srcArc)*B+l]
+	case f.inPlace:
+		return w.s.val[int(w.arcIDs[f.p0])*B+l]
+	default:
+		return w.outVals[int(f.v0)+l]
+	}
+}
+
+// drainLane reports whether lane l drained completely and lists
+// diagnostics for any leftover state: unsent stream or control values and
+// stranded tokens.
 func (s *bsim) drainLane(l int) (bool, []string) {
 	var stalled []string
 	B := s.B
 	for _, n := range s.g.Nodes() {
 		switch n.Op {
 		case graph.OpSource:
-			stream := s.insts[n.ID].streams[l]
+			stream := s.streams[int(s.insts[n.ID].src)*B+l]
 			if pos := int(s.srcPos[int(n.ID)*B+l]); pos < len(stream) {
 				stalled = append(stalled, fmt.Sprintf("%s: %d of %d stream values unsent",
 					n.Name(), len(stream)-pos, len(stream)))
@@ -1185,44 +1183,26 @@ func (s *bsim) drainLane(l int) (bool, []string) {
 	return len(stalled) == 0, stalled
 }
 
-// assemble builds the batched Result: top-level fields are lane 0's view,
-// Lanes carries every lane's.
+// assemble builds the Result: the top-level fields are lane 0's view, and
+// a batched run (B > 1) also carries every lane's view in Lanes.
 func (s *bsim) assemble(opt Options) (*Result, error) {
-	nn := s.g.NumNodes()
-	res := &Result{
-		Graph: s.g,
-		Batch: s.B,
-		Lanes: make([]LaneResult, s.B),
-	}
-	anyCanceled, anyMaxed := false, false
-	for l := 0; l < s.B; l++ {
-		lr := &res.Lanes[l]
-		lr.Cycles = s.laneCycles[l]
-		lr.Firings = make([]int, nn)
-		for i := 0; i < nn; i++ {
-			lr.Firings[i] = s.frns[i*s.B+l]
-		}
-		lr.Outputs = make(map[string][]value.Value, len(s.sinkLabels))
-		lr.Arrivals = make(map[string][]Arrival, len(s.sinkLabels))
-		for k, label := range s.sinkLabels {
-			outs := s.sinkOuts[k*s.B+l]
-			cycs := s.sinkCycs[k*s.B+l]
-			var arrs []Arrival
-			if outs != nil { // nil stays nil: a silent sink has no arrivals
-				arrs = make([]Arrival, len(outs))
-				for i := range outs {
-					arrs[i] = Arrival{Cycle: int(cycs[i]), Val: outs[i]}
-				}
+	res := &Result{Graph: s.g}
+	var l0 LaneResult
+	if s.B == 1 {
+		l0 = s.lane(0, s.frns)
+	} else {
+		res.Batch = s.B
+		res.Lanes = make([]LaneResult, s.B)
+		nn := s.g.NumNodes()
+		for l := range res.Lanes {
+			frns := make([]int, nn)
+			for i := range frns {
+				frns[i] = s.frns[i*s.B+l]
 			}
-			lr.Outputs[label] = outs
-			lr.Arrivals[label] = arrs
+			res.Lanes[l] = s.lane(l, frns)
 		}
-		lr.Canceled = s.laneCanceled[l]
-		lr.Clean, lr.Stalled = s.drainLane(l)
-		anyCanceled = anyCanceled || s.laneCanceled[l]
-		anyMaxed = anyMaxed || s.laneMaxed[l]
+		l0 = res.Lanes[0]
 	}
-	l0 := &res.Lanes[0]
 	res.Cycles = l0.Cycles
 	res.Firings = l0.Firings
 	res.Outputs = l0.Outputs
@@ -1231,8 +1211,17 @@ func (s *bsim) assemble(opt Options) (*Result, error) {
 	res.Stalled = l0.Stalled
 	// Decorate canceled lane views after the top-level copy so the
 	// top-level diagnostic is prepended exactly once (by markCanceled).
-	for l := 0; l < s.B; l++ {
-		if s.laneCanceled[l] {
+	anyCanceled, anyMaxed := false, false
+	cancelCycle := 0
+	for l := range s.lanes {
+		ls := &s.lanes[l]
+		anyMaxed = anyMaxed || ls.maxed
+		if !ls.canceled {
+			continue
+		}
+		anyCanceled = true
+		cancelCycle = max(cancelCycle, ls.cycles)
+		if res.Lanes != nil {
 			lr := &res.Lanes[l]
 			lr.Clean = false
 			lr.Stalled = append([]string{fmt.Sprintf(
@@ -1241,14 +1230,8 @@ func (s *bsim) assemble(opt Options) (*Result, error) {
 		}
 	}
 	if anyCanceled {
-		cancelCycle := 0
-		for l := 0; l < s.B; l++ {
-			if s.laneCanceled[l] && s.laneCycles[l] > cancelCycle {
-				cancelCycle = s.laneCycles[l]
-			}
-		}
-		if s.laneCanceled[0] {
-			cancelCycle = s.laneCycles[0]
+		if s.lanes[0].canceled {
+			cancelCycle = s.lanes[0].cycles
 		}
 		return markCanceled(res, cancelCycle, opt.Ctx)
 	}
@@ -1256,4 +1239,31 @@ func (s *bsim) assemble(opt Options) (*Result, error) {
 		return res, fmt.Errorf("exec: no quiescence after %d cycles (livelock or MaxCycles too small)", s.maxCycles)
 	}
 	return res, nil
+}
+
+// lane builds lane l's view over the given firing counts.
+func (s *bsim) lane(l int, frns []int) LaneResult {
+	ls := &s.lanes[l]
+	lr := LaneResult{
+		Cycles:   ls.cycles,
+		Firings:  frns,
+		Outputs:  make(map[string][]value.Value, len(s.sinkLabels)),
+		Arrivals: make(map[string][]Arrival, len(s.sinkLabels)),
+		Canceled: ls.canceled,
+	}
+	for k, label := range s.sinkLabels {
+		outs := s.sinkOuts[k*s.B+l]
+		cycs := s.sinkCycs[k*s.B+l]
+		var arrs []Arrival
+		if outs != nil { // nil stays nil: a silent sink has no arrivals
+			arrs = make([]Arrival, len(outs))
+			for i := range outs {
+				arrs[i] = Arrival{Cycle: int(cycs[i]), Val: outs[i]}
+			}
+		}
+		lr.Outputs[label] = outs
+		lr.Arrivals[label] = arrs
+	}
+	lr.Clean, lr.Stalled = s.drainLane(l)
+	return lr
 }

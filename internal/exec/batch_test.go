@@ -32,8 +32,8 @@ func laneView(r *Result, l int) *Result {
 // TestBatchedLaneIdentity is the package-level half of the batched
 // identity contract: with every lane fed the graph's bound streams, every
 // lane's view — and the top-level fields, which must be lane 0's — is
-// byte-identical to the sequential engine, for any lane count and any
-// lane-sharding worker count.
+// byte-identical to an unbatched one-worker run, for any lane count and
+// any lane-sharding worker count.
 func TestBatchedLaneIdentity(t *testing.T) {
 	for name, build := range parallelCases() {
 		seq, err := Run(build(), Options{})
@@ -179,7 +179,7 @@ func TestBatchedLaneZeroIgnoresLaneInputs(t *testing.T) {
 }
 
 // TestBatchedPartialResult pins the MaxCycles path at B>1: the error and
-// lane 0's partial view stay byte-identical to the sequential engine, and
+// lane 0's partial view stay byte-identical to an unbatched run, and
 // every lane carries its own partial view.
 func TestBatchedPartialResult(t *testing.T) {
 	build := parallelCases()["wide"]

@@ -74,8 +74,9 @@ func TestCancelMidRunReturnsPartial(t *testing.T) {
 			g := cancelChain(n, 8)
 			opt := Options{Ctx: ctx, Workers: workers}
 			if workers == 0 {
-				// The sequential engine supports the per-firing debug hook;
-				// use it to cancel deterministically mid-run.
+				// A one-worker run calls the per-firing debug hook on the
+				// running goroutine; use it to cancel deterministically
+				// mid-run.
 				opt.Trace = func(cycle int, node *graph.Node, out value.Value) {
 					fired++
 					if fired == n { // roughly the middle of the run

@@ -18,17 +18,25 @@
 //     (Todd's 3-cell for-iter loop: II = 3; the companion-function 4-cell
 //     loop with two circulating values: II = 2).
 //
-// The inner loop is event-driven: a cell is re-examined only when one of
-// its input arcs fills or one of its output arcs drains (a dense ready
-// bitset, not a per-cycle scan of all cells), token state lives in flat
-// slices indexed by arc ID, and per-cycle firing plans are carved out of
-// reusable arenas, so steady-state simulation performs no allocation.
+// One engine implements the rule: the lane engine (batch.go). A run is B
+// token lanes over one graph — B = 1 unless Options.Batch asks for more —
+// and Options.Workers splits it among goroutines, by lane range when
+// B > 1 and by graph shard when B = 1 (parallel.go). The inner loop is
+// event-driven: a cell is re-examined only when one of its input arcs
+// fills or one of its output arcs drains (a dense ready bitset, not a
+// per-cycle scan of all cells), token state lives in flat slices indexed
+// by arc ID, and per-cycle firing plans are carved out of arenas sized
+// once per run, so steady-state simulation performs no allocation.
+// Prepare decodes the graph once; a run allocates only its own state.
+//
+// The original sequential engine survives as a test oracle
+// (oracle_test.go): differential tests require the lane engine to match
+// it output for output, cycle for cycle and trace event for trace event.
 package exec
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -59,10 +67,10 @@ type Options struct {
 	// mid-run. Like Tracer it is passive and costs one nil check when
 	// unset.
 	Progress *trace.Progress
-	// Workers selects the sharded parallel engine: the graph is
-	// partitioned into min(Workers, cells) load-balanced shards, each
-	// owned by one goroutine, synchronized once per instruction time.
-	// 0 or 1 runs the sequential engine. Every observable outcome —
+	// Workers runs the engine on that many goroutines. An unbatched run
+	// is partitioned into min(Workers, cells) load-balanced graph shards,
+	// each owned by one goroutine, synchronized once per instruction time.
+	// 0 or 1 runs on the calling goroutine. Every observable outcome —
 	// outputs, arrival cycles, firings, stall diagnostics, and the trace
 	// event stream — is byte-identical for any worker count.
 	Workers int
@@ -78,15 +86,15 @@ type Options struct {
 	// one compiled graph in a single Run: every arc slot, source position,
 	// and firing counter is replicated per lane (structure-of-arrays,
 	// lane-minor), so the per-cycle candidate walk and instruction decode
-	// are paid once per batch instead of once per stream. 0 or 1 runs the
-	// scalar engine; at most MaxBatch lanes (the candidate set keeps one
-	// 64-bit lane mask per cell). Lane 0 always consumes the streams bound
-	// on the graph and is byte-identical to a scalar run — outputs,
-	// arrival cycles, firings, stall diagnostics, and the lane-0 trace
-	// event stream all match. When Batch > 1, Workers shards the run by
-	// contiguous lane ranges instead of by graph partition: lanes never
-	// interact, so the workers need no barriers and determinism holds by
-	// construction.
+	// are paid once per batch instead of once per stream. 0 or 1 runs one
+	// lane and reports an unbatched Result (Batch 0, Lanes nil); at most
+	// MaxBatch lanes (the candidate set keeps one 64-bit lane mask per
+	// cell). Lane 0 always consumes the streams bound on the graph and is
+	// byte-identical to an unbatched run — outputs, arrival cycles,
+	// firings, stall diagnostics, and the lane-0 trace event stream all
+	// match. When Batch > 1, Workers shards the run by contiguous lane
+	// ranges instead of by graph partition: lanes never interact, so the
+	// workers need no barriers and determinism holds by construction.
 	Batch int
 	// LaneInputs supplies per-lane source streams for a batched run,
 	// keyed by source-cell label (the declared input name): LaneInputs[l]
@@ -142,20 +150,20 @@ type Result struct {
 	// Graph is the graph actually simulated (FIFO cells expanded into
 	// identity chains).
 	Graph *graph.Graph
-	// Shards holds per-shard accounting when the run used the sharded
-	// engine (Options.Workers > 1); nil for sequential runs.
+	// Shards holds per-shard accounting when an unbatched run was split
+	// into graph shards (Options.Workers > 1); nil otherwise.
 	Shards []partition.ShardStat
 	// ShardDiag lists shard/ring diagnostics captured when a sharded run
 	// halted without quiescing, naming where work was still pending. It
 	// is separate from Stalled so stall diagnostics stay byte-identical
 	// across worker counts.
 	ShardDiag []string
-	// Batch is the lane count of a batched run (0 for scalar runs).
+	// Batch is the lane count of a batched run (0 for unbatched runs).
 	Batch int
-	// Lanes holds per-lane views of a batched run (nil for scalar runs).
-	// Lanes[0] describes the same lane as the top-level fields, which
-	// always report lane 0 so existing consumers observe exactly what a
-	// scalar run would have produced.
+	// Lanes holds per-lane views of a batched run (nil for unbatched
+	// runs). Lanes[0] describes the same lane as the top-level fields,
+	// which always report lane 0 so existing consumers observe exactly
+	// what an unbatched run would have produced.
 	Lanes []LaneResult
 }
 
@@ -208,48 +216,6 @@ func (b bitset) reset() {
 	}
 }
 
-// sim is the mutable machine state.
-type sim struct {
-	g       *graph.Graph
-	streams [][]value.Value // resolved source stream per node ID (see resolveStreams)
-	arcHas  []bool          // token presence per arc ID
-	arcVal  []value.Value   // token value per arc ID (meaningful when arcHas)
-	srcPos  []int           // next stream index per node ID (sources/ctlgens)
-	firings []int
-	outs    map[string][]value.Value
-	arrs    map[string][]Arrival
-	outCap  int // preallocation hint for sink streams (max source length)
-	trace   func(int, *graph.Node, value.Value)
-	tr      trace.Tracer
-	prog    *trace.Progress
-
-	// candidate tracking: a cell's enabledness only changes when one of
-	// its input arcs fills or one of its output arcs drains, so only those
-	// cells are re-planned each cycle.
-	cand     bitset
-	nextCand bitset
-
-	// per-cycle scratch, reused across cycles: the firing plans and the
-	// arena their consume/produce arc-ID runs are carved from.
-	plans  []firing
-	arcIDs []int
-	vals   []value.Value
-}
-
-// firing is a cell's planned effect, computed against the start-of-cycle
-// snapshot and applied after all cells have been examined. The consume and
-// produce arc-ID runs live in the sim's arcIDs arena as [c0:c1) and
-// [p0:p1) index ranges (ranges stay valid across arena growth).
-type firing struct {
-	node     *graph.Node
-	c0, c1   int32 // arcIDs[c0:c1]: arcs to clear
-	p0, p1   int32 // arcIDs[p0:p1]: arcs to fill
-	out      value.Value
-	sink     bool
-	advance  bool // sources and control generators advance their position
-	produced bool // whether out is meaningful (gates may discard)
-}
-
 // Run simulates the graph until no cell is enabled and returns the result.
 // When MaxCycles is exhausted before quiescence the partial Result (with
 // Stalled diagnostics populated) is returned together with the error.
@@ -267,9 +233,9 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 }
 
 // Run executes the prepared graph. Safe for concurrent use: every call
-// draws its mutable run state from the free-list pool (sequential engine)
-// or builds it fresh (sharded/batched engines); the graph itself is only
-// read. See Options.Inputs for running with per-call input streams.
+// allocates its own token, position, counter and sink state and only reads
+// the graph and its decoded program. See Options.Inputs for running with
+// per-call input streams.
 func (p *Prepared) Run(opt Options) (*Result, error) {
 	res, err := p.runPrepared(opt)
 	annotateSpan(opt.Ctx, res, err, opt.Workers, opt.Batch)
@@ -277,312 +243,28 @@ func (p *Prepared) Run(opt Options) (*Result, error) {
 }
 
 func (p *Prepared) runPrepared(opt Options) (*Result, error) {
-	g := p.g
 	maxCycles := opt.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = DefaultMaxCycles
 	}
-	if b := opt.Batch; b > 1 {
-		streams, err := resolveStreams(g, opt.Inputs, nil)
-		if err != nil {
-			return nil, err
-		}
-		return runBatched(g, opt, streams, maxCycles, b)
-	}
-	if w := opt.Workers; w > 1 {
-		if w > g.NumNodes() {
-			w = g.NumNodes()
-		}
-		if w > 1 {
-			streams, err := resolveStreams(g, opt.Inputs, nil)
-			if err != nil {
-				return nil, err
-			}
-			return runSharded(g, opt, streams, maxCycles, w)
-		}
-	}
-	s := p.getSim(opt)
-	defer p.putSim(s)
-	var err error
-	if s.streams, err = resolveStreams(g, opt.Inputs, s.streams); err != nil {
+	s, err := newBsim(p, opt, maxCycles, max(opt.Batch, 1))
+	if err != nil {
 		return nil, err
 	}
-	if s.tr != nil {
-		names := make([]string, g.NumNodes())
-		for _, n := range g.Nodes() {
-			names[n.ID] = n.Name()
-		}
-		s.tr.Start(trace.Meta{Cells: names})
+	if w := min(opt.Workers, p.g.NumNodes()); s.B == 1 && w > 1 {
+		return runSharded(s, opt, w)
 	}
-	for _, a := range g.Arcs() {
-		if a.Init != nil {
-			s.arcHas[a.ID] = true
-			s.arcVal[a.ID] = *a.Init
-		}
-	}
-	for _, n := range g.Nodes() {
-		s.cand.set(int(n.ID))
-		switch n.Op {
-		case graph.OpSink:
-			if _, dup := s.outs[n.Label]; dup {
-				return nil, fmt.Errorf("exec: duplicate sink label %q", n.Label)
-			}
-			s.outs[n.Label] = nil
-			s.arrs[n.Label] = nil
-		case graph.OpSource:
-			if len(s.streams[n.ID]) > s.outCap {
-				s.outCap = len(s.streams[n.ID])
-			}
-		}
-	}
-
-	var done <-chan struct{}
-	if opt.Ctx != nil {
-		done = opt.Ctx.Done()
-	}
-	canceled := false
-	cycle := 0
-	for ; cycle < maxCycles; cycle++ {
-		if done != nil && cycle&(CancelCadence-1) == 0 {
-			select {
-			case <-done:
-				canceled = true
-			default:
-			}
-			if canceled {
-				break
-			}
-		}
-		if s.prog != nil {
-			s.prog.Cycle.Store(int64(cycle))
-		}
-		plans := s.collect()
-		if len(plans) == 0 {
-			break
-		}
-		if s.tr != nil {
-			s.emitStalls(cycle, plans)
-		}
-		s.apply(cycle, plans)
-	}
-
-	res := &Result{
-		Cycles:   cycle,
-		Firings:  s.firings,
-		Outputs:  s.outs,
-		Arrivals: s.arrs,
-		Graph:    g,
-	}
-	res.Clean, res.Stalled = s.drainState()
-	if canceled {
-		return markCanceled(res, cycle, opt.Ctx)
-	}
-	if cycle >= maxCycles {
-		return res, fmt.Errorf("exec: no quiescence after %d cycles (livelock or MaxCycles too small)", maxCycles)
-	}
-	return res, nil
+	return s.runLanes(opt)
 }
 
-// markCanceled stamps a partial result with the cancellation diagnostics
-// shared by the sequential and sharded engines.
+// markCanceled stamps a partial result with the run's cancellation
+// diagnostics.
 func markCanceled(res *Result, cycle int, ctx context.Context) (*Result, error) {
 	res.Canceled = true
 	res.Clean = false
 	res.Stalled = append([]string{fmt.Sprintf("canceled: run stopped by context at cycle %d before quiescence", cycle)},
 		res.Stalled...)
 	return res, fmt.Errorf("exec: run canceled at cycle %d: %w", cycle, context.Cause(ctx))
-}
-
-// collect examines candidate cells against the current snapshot and returns
-// the firing plans of all enabled cells in deterministic (NodeID) order.
-func (s *sim) collect() []firing {
-	s.plans = s.plans[:0]
-	s.arcIDs = s.arcIDs[:0]
-	for w, word := range s.cand {
-		for word != 0 {
-			id := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			n := s.g.Node(graph.NodeID(id))
-			if f, why := s.plan(n); why == trace.ReasonNone {
-				s.plans = append(s.plans, f)
-			}
-		}
-	}
-	return s.plans
-}
-
-// emitStalls classifies every cell that will not fire this cycle and emits
-// one stall event per waiting cell (tracing only; plan is semantically
-// side-effect free, so this pass cannot perturb the run).
-func (s *sim) emitStalls(cycle int, plans []firing) {
-	firing := make(map[graph.NodeID]bool, len(plans))
-	for _, f := range plans {
-		firing[f.node.ID] = true
-	}
-	for _, n := range s.g.Nodes() {
-		if firing[n.ID] {
-			continue
-		}
-		if _, why := s.plan(n); why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
-			s.tr.Emit(trace.Event{
-				Cycle: int64(cycle), Kind: trace.KindStall,
-				Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
-			})
-		}
-	}
-}
-
-// operand returns the value on port p of n and whether it is present.
-func (s *sim) operand(n *graph.Node, p int) (value.Value, bool) {
-	in := n.In[p]
-	if in.Literal != nil {
-		return *in.Literal, true
-	}
-	if in.Arc == nil {
-		return value.Value{}, false
-	}
-	if !s.arcHas[in.Arc.ID] {
-		return value.Value{}, false
-	}
-	return s.arcVal[in.Arc.ID], true
-}
-
-// consumeArc appends port p's arc (if any) to the arena's consume run.
-func (s *sim) consumeArc(n *graph.Node, p int) {
-	if a := n.In[p].Arc; a != nil {
-		s.arcIDs = append(s.arcIDs, a.ID)
-	}
-}
-
-// plan decides whether cell n can fire now and, if so, what its effects
-// are. The returned reason is trace.ReasonNone when the cell is enabled and
-// otherwise classifies the stall (used by the observability layer; plan
-// touches only scratch arenas either way, never machine state).
-func (s *sim) plan(n *graph.Node) (firing, trace.Reason) {
-	f := firing{node: n}
-	f.c0 = int32(len(s.arcIDs))
-
-	// Phase 1: operand availability and result computation.
-	switch n.Op {
-	case graph.OpSource:
-		stream := s.streams[n.ID]
-		if s.srcPos[n.ID] >= len(stream) {
-			return f, trace.ReasonDone
-		}
-		f.out = stream[s.srcPos[n.ID]]
-		f.advance = true
-		f.produced = true
-
-	case graph.OpCtlGen:
-		total := n.Pattern.Len()
-		if total >= 0 && s.srcPos[n.ID] >= total {
-			return f, trace.ReasonDone
-		}
-		f.out = value.B(n.Pattern.At(s.srcPos[n.ID]))
-		f.advance = true
-		f.produced = true
-
-	case graph.OpSink:
-		v, ok := s.operand(n, 0)
-		if !ok {
-			return f, trace.ReasonOperandWait
-		}
-		f.out = v
-		f.sink = true
-		s.consumeArc(n, 0)
-
-	case graph.OpMerge:
-		ctl, ok := s.operand(n, 0)
-		if !ok {
-			return f, trace.ReasonOperandWait
-		}
-		sel := 2
-		if ctl.AsBool() {
-			sel = 1
-		}
-		v, ok := s.operand(n, sel)
-		if !ok {
-			return f, trace.ReasonOperandWait
-		}
-		// extra control ports (gates) must also be present
-		for p := 3; p < len(n.In); p++ {
-			if _, ok := s.operand(n, p); !ok {
-				return f, trace.ReasonOperandWait
-			}
-		}
-		f.out = v
-		f.produced = true
-		s.consumeArc(n, 0)
-		s.consumeArc(n, sel)
-		for p := 3; p < len(n.In); p++ {
-			s.consumeArc(n, p)
-		}
-
-	case graph.OpTGate, graph.OpFGate:
-		ctl, okc := s.operand(n, 0)
-		data, okd := s.operand(n, 1)
-		if !okc || !okd {
-			return f, trace.ReasonOperandWait
-		}
-		for p := 2; p < len(n.In); p++ {
-			if _, ok := s.operand(n, p); !ok {
-				return f, trace.ReasonOperandWait
-			}
-		}
-		pass := ctl.AsBool()
-		if n.Op == graph.OpFGate {
-			pass = !pass
-		}
-		f.out = data
-		f.produced = pass // false: discard, consuming both operands
-		for p := 0; p < len(n.In); p++ {
-			s.consumeArc(n, p)
-		}
-
-	default: // ordinary operator and identity cells
-		if cap(s.vals) < len(n.In) {
-			s.vals = make([]value.Value, len(n.In))
-		}
-		vals := s.vals[:len(n.In)]
-		for p := range n.In {
-			v, ok := s.operand(n, p)
-			if !ok {
-				return f, trace.ReasonOperandWait
-			}
-			vals[p] = v
-		}
-		f.out = ApplyOp(n.Op, vals)
-		f.produced = true
-		for p := range n.In {
-			s.consumeArc(n, p)
-		}
-	}
-	f.c1 = int32(len(s.arcIDs))
-	f.p0 = f.c1
-
-	// Phase 2: destination availability. Every arc this firing will write
-	// must be empty (its previous token acknowledged). Gated arcs are
-	// written only when their gate operand is true.
-	if f.produced {
-		for _, a := range n.Out {
-			write := true
-			if a.Gate != graph.NoGate {
-				gv, ok := s.operand(n, a.Gate)
-				if !ok {
-					return f, trace.ReasonOperandWait // gate operand itself not ready
-				}
-				write = gv.AsBool()
-			}
-			if write {
-				if s.arcHas[a.ID] {
-					return f, trace.ReasonAckWait
-				}
-				s.arcIDs = append(s.arcIDs, a.ID)
-			}
-		}
-	}
-	f.p1 = int32(len(s.arcIDs))
-	return f, trace.ReasonNone
 }
 
 // ApplyOp evaluates an ordinary (non-gate, non-merge) operator cell; it is
@@ -631,8 +313,8 @@ func ApplyOp(op graph.Op, v []value.Value) value.Value {
 }
 
 // applyBinary is ApplyOp for two-operand cells with the operands passed in
-// registers — the batched planner's hot path, where a scratch-slice
-// round-trip per lane would dominate the amortized firing cost.
+// registers — the planner's hot path, where a scratch-slice round-trip per
+// lane would dominate the amortized firing cost.
 func applyBinary(op graph.Op, a, b value.Value) value.Value {
 	switch op {
 	case graph.OpAdd:
@@ -666,117 +348,6 @@ func applyBinary(op graph.Op, a, b value.Value) value.Value {
 	default:
 		panic(fmt.Sprintf("exec: applyBinary on %s", op))
 	}
-}
-
-// apply commits the cycle's firings and updates the candidate set.
-func (s *sim) apply(cycle int, plans []firing) {
-	s.nextCand.reset()
-	arcs := s.g.Arcs()
-	for i := range plans {
-		f := &plans[i]
-		n := f.node
-		s.firings[n.ID]++
-		s.nextCand.set(int(n.ID))
-		if s.tr != nil {
-			s.tr.Emit(trace.Event{
-				Cycle: int64(cycle), Kind: trace.KindFiring,
-				Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1,
-			})
-		}
-		for _, aid := range s.arcIDs[f.c0:f.c1] {
-			s.arcHas[aid] = false
-			// the producer of a drained arc may now be enabled
-			producer := arcs[aid].From
-			s.nextCand.set(int(producer))
-			if s.tr != nil {
-				// draining the arc is the moment the acknowledge packet
-				// would reach the producer
-				s.tr.Emit(trace.Event{
-					Cycle: int64(cycle), Kind: trace.KindAck,
-					Cell: int32(producer), Port: -1, Unit: -1, Src: -1, Dst: -1,
-				})
-			}
-		}
-		if f.advance {
-			s.srcPos[n.ID]++
-		}
-		if f.sink {
-			s.outs[n.Label] = appendPrealloc(s.outs[n.Label], f.out, s.outCap)
-			s.arrs[n.Label] = appendArrPrealloc(s.arrs[n.Label], Arrival{Cycle: cycle, Val: f.out}, s.outCap)
-			if s.prog != nil {
-				s.prog.Arrivals.Add(1)
-			}
-		}
-		if s.trace != nil && f.produced {
-			s.trace(cycle, n, f.out)
-		}
-	}
-	for i := range plans {
-		f := &plans[i]
-		for _, aid := range s.arcIDs[f.p0:f.p1] {
-			s.arcHas[aid] = true
-			s.arcVal[aid] = f.out
-			a := arcs[aid]
-			s.nextCand.set(int(a.To))
-			if s.tr != nil {
-				s.tr.Emit(trace.Event{
-					Cycle: int64(cycle), Kind: trace.KindToken,
-					Cell: int32(a.To), Port: int32(a.ToPort), Unit: -1, Src: -1, Dst: -1,
-				})
-			}
-		}
-	}
-	s.cand, s.nextCand = s.nextCand, s.cand
-}
-
-// appendPrealloc appends to a sink stream, sizing the buffer for the whole
-// expected stream on first use so steady-state appends never reallocate.
-func appendPrealloc(s []value.Value, v value.Value, hint int) []value.Value {
-	if s == nil && hint > 0 {
-		s = make([]value.Value, 0, hint)
-	}
-	return append(s, v)
-}
-
-func appendArrPrealloc(s []Arrival, a Arrival, hint int) []Arrival {
-	if s == nil && hint > 0 {
-		s = make([]Arrival, 0, hint)
-	}
-	return append(s, a)
-}
-
-func appendCycPrealloc(s []int64, c int64, hint int) []int64 {
-	if s == nil && hint > 0 {
-		s = make([]int64, 0, hint)
-	}
-	return append(s, c)
-}
-
-// drainState reports whether the quiescent machine is fully drained and
-// lists diagnostics for any leftover state.
-func (s *sim) drainState() (bool, []string) {
-	var stalled []string
-	for _, n := range s.g.Nodes() {
-		switch n.Op {
-		case graph.OpSource:
-			if stream := s.streams[n.ID]; s.srcPos[n.ID] < len(stream) {
-				stalled = append(stalled, fmt.Sprintf("%s: %d of %d stream values unsent",
-					n.Name(), len(stream)-s.srcPos[n.ID], len(stream)))
-			}
-		case graph.OpCtlGen:
-			if t := n.Pattern.Len(); t >= 0 && s.srcPos[n.ID] < t {
-				stalled = append(stalled, fmt.Sprintf("%s: %d of %d control values unsent",
-					n.Name(), t-s.srcPos[n.ID], t))
-			}
-		}
-	}
-	for _, a := range s.g.Arcs() {
-		if s.arcHas[a.ID] {
-			stalled = append(stalled, fmt.Sprintf("token %s stranded on arc %s -> %s port %d",
-				s.arcVal[a.ID], s.g.Node(a.From).Name(), s.g.Node(a.To).Name(), a.ToPort))
-		}
-	}
-	return len(stalled) == 0, stalled
 }
 
 // Describe summarizes a result for reports and error messages.

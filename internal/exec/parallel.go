@@ -1,18 +1,18 @@
-// Sharded parallel engine for the firing-rule simulator.
+// Graph-sharded driver: an unbatched run with Workers > 1.
 //
 // The graph is partitioned into P load-balanced shards (internal/
-// partition); one goroutine owns each shard's cells — their candidate
-// bitset and firing-plan arena — while token state (arcHas/arcVal),
-// stream positions, and firing counters stay in the shared flat slices,
-// written at disjoint indices only. Each simulated instruction time runs
-// in three phases:
+// partition); one goroutine owns each shard and runs a one-lane bworker
+// whose candidate set holds only that shard's cells, while token state,
+// stream positions, and firing counters stay in the run's shared bsim
+// slices, written at disjoint indices only. Each simulated instruction
+// time runs in three phases:
 //
 //	A  every worker plans its own candidate cells against the frozen
 //	   start-of-cycle token state and publishes its plan count;
 //	   — barrier —
 //	B  every worker applies its own plans: clears consumed arcs, fills
 //	   produced arcs, appends sink arrivals. Enabledness wake-ups for
-//	   cells in other shards are pushed onto bounded SPSC rings;
+//	   cells in other shards are then moved onto bounded SPSC rings;
 //	   — barrier —
 //	C  every worker drains its inbound rings into its next candidate
 //	   set. No barrier is needed before the next phase A: C touches only
@@ -24,10 +24,10 @@
 // consumer lacks the operand) — so each arc slot is written by at most
 // one worker per cycle, and the cycle's outcome is a pure function of the
 // start-of-cycle state regardless of worker interleaving. Outputs,
-// arrivals, firings, and stall diagnostics are byte-identical to the
-// sequential engine for any P; when tracing is attached, worker 0 replays
-// the cycle's events between phases A and B in exactly the sequential
-// emission order.
+// arrivals, firings, and stall diagnostics are byte-identical to a
+// one-worker run for any P; when tracing is attached, worker 0 replays the
+// cycle's events from the shards' firing records between phases A and B,
+// in exactly the one-worker emission order.
 package exec
 
 import (
@@ -39,7 +39,6 @@ import (
 	"staticpipe/internal/graph"
 	"staticpipe/internal/partition"
 	"staticpipe/internal/trace"
-	"staticpipe/internal/value"
 )
 
 // padCount is a per-shard counter padded to a cache line so the workers'
@@ -51,26 +50,12 @@ type padCount struct {
 
 // shardSim is the state shared by all workers of one sharded run.
 type shardSim struct {
-	g         *graph.Graph
+	s         *bsim
 	opt       Options
-	maxCycles int
 	asn       *partition.Assignment
 	workers   []*shardWorker
 	barrier   *partition.Barrier
 	planCount []padCount
-
-	// Shared machine state; see the determinism notes above for why the
-	// concurrent disjoint-index writes are safe.
-	arcHas  []bool
-	arcVal  []value.Value
-	srcPos  []int
-	firings []int
-	outCap  int
-	// Sink streams are collected per cell ID (each sink cell is owned by
-	// exactly one worker) and keyed by label only after the join — two
-	// workers must never append into one map.
-	sinkVals [][]value.Value
-	sinkArrs [][]Arrival
 
 	// Trace-mode replay state: each entry is written only by the cell's
 	// owner in phase A and read by worker 0 between the A and B barriers.
@@ -95,65 +80,30 @@ type shardSim struct {
 type shardWorker struct {
 	id       int
 	ps       *shardSim
-	sm       *sim // aliases the shared slices; owns cand/nextCand and the plan arena
+	bw       *bworker // one lane over this shard's cells
 	nodes    []graph.NodeID
+	foreign  bitset            // the cells other shards own
 	outRings []*partition.Ring // by destination shard; nil when no arc crosses
 	inRings  []*partition.Ring // by source shard
 	stat     partition.ShardStat
 	live     *trace.ShardCounters
 }
 
-// runSharded mirrors the sequential Run loop across asn.P workers. The
-// graph is already FIFO-expanded and validated; streams is the per-node
-// resolved source binding (see resolveStreams), shared read-only by every
-// worker.
-func runSharded(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles, nw int) (*Result, error) {
+// runSharded runs the one-lane state s on nw graph shards.
+func runSharded(s *bsim, opt Options, nw int) (*Result, error) {
+	g := s.g
 	asn := partition.Partition(g, nw)
 	nw = asn.P
 	ps := &shardSim{
-		g:         g,
+		s:         s,
 		opt:       opt,
-		maxCycles: maxCycles,
 		asn:       asn,
 		barrier:   partition.NewBarrier(nw),
 		planCount: make([]padCount, nw),
-		arcHas:    make([]bool, g.NumArcs()),
-		arcVal:    make([]value.Value, g.NumArcs()),
-		srcPos:    make([]int, g.NumNodes()),
-		firings:   make([]int, g.NumNodes()),
-		sinkVals:  make([][]value.Value, g.NumNodes()),
-		sinkArrs:  make([][]Arrival, g.NumNodes()),
 		traced:    opt.Tracer != nil || opt.Trace != nil,
 	}
 	if opt.Ctx != nil {
 		ps.done = opt.Ctx.Done()
-	}
-	if opt.Tracer != nil {
-		names := make([]string, g.NumNodes())
-		for _, n := range g.Nodes() {
-			names[n.ID] = n.Name()
-		}
-		opt.Tracer.Start(trace.Meta{Cells: names})
-	}
-	for _, a := range g.Arcs() {
-		if a.Init != nil {
-			ps.arcHas[a.ID] = true
-			ps.arcVal[a.ID] = *a.Init
-		}
-	}
-	sinkSeen := map[string]bool{}
-	for _, n := range g.Nodes() {
-		switch n.Op {
-		case graph.OpSink:
-			if sinkSeen[n.Label] {
-				return nil, fmt.Errorf("exec: duplicate sink label %q", n.Label)
-			}
-			sinkSeen[n.Label] = true
-		case graph.OpSource:
-			if len(streams[n.ID]) > ps.outCap {
-				ps.outCap = len(streams[n.ID])
-			}
-		}
 	}
 	if ps.traced {
 		ps.planned = make([]int32, g.NumNodes())
@@ -182,20 +132,10 @@ func runSharded(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles,
 		shardCounters = opt.Progress.InitShards(nw)
 	}
 	ps.workers = make([]*shardWorker, nw)
-	for i := 0; i < nw; i++ {
+	for i := range ps.workers {
 		w := &shardWorker{
-			id: i,
-			ps: ps,
-			sm: &sim{
-				g:        g,
-				streams:  streams,
-				arcHas:   ps.arcHas,
-				arcVal:   ps.arcVal,
-				srcPos:   ps.srcPos,
-				firings:  ps.firings,
-				cand:     newBitset(g.NumNodes()),
-				nextCand: newBitset(g.NumNodes()),
-			},
+			id:       i,
+			ps:       ps,
 			inRings:  make([]*partition.Ring, nw),
 			outRings: make([]*partition.Ring, nw),
 		}
@@ -207,7 +147,16 @@ func runSharded(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles,
 	for _, n := range g.Nodes() {
 		w := ps.workers[asn.Shard[n.ID]]
 		w.nodes = append(w.nodes, n.ID)
-		w.sm.cand.set(int(n.ID))
+	}
+	for _, w := range ps.workers {
+		w.bw = newBworker(s, opt, 0, 1, false, w.nodes)
+		w.foreign = newBitset(g.NumNodes())
+		for _, n := range g.Nodes() {
+			if asn.Shard[n.ID] != w.id {
+				w.foreign.set(int(n.ID))
+			}
+		}
+		w.stat.Cells = len(w.nodes)
 	}
 	for src := 0; src < nw; src++ {
 		for dst := 0; dst < nw; dst++ {
@@ -218,9 +167,6 @@ func runSharded(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles,
 			ps.workers[src].outRings[dst] = r
 			ps.workers[dst].inRings[src] = r
 		}
-	}
-	for _, w := range ps.workers {
-		w.stat.Cells = len(w.nodes)
 	}
 
 	var wg sync.WaitGroup
@@ -233,43 +179,30 @@ func runSharded(g *graph.Graph, opt Options, streams [][]value.Value, maxCycles,
 	}
 	wg.Wait()
 
-	res := &Result{
-		Cycles:   ps.endCycle,
-		Firings:  ps.firings,
-		Outputs:  map[string][]value.Value{},
-		Arrivals: map[string][]Arrival{},
-		Graph:    g,
-		Shards:   make([]partition.ShardStat, nw),
-	}
-	for _, n := range g.Nodes() {
-		if n.Op == graph.OpSink {
-			res.Outputs[n.Label] = ps.sinkVals[n.ID]
-			res.Arrivals[n.Label] = ps.sinkArrs[n.ID]
-		}
-	}
+	ls := &s.lanes[0]
+	ls.cycles = ps.endCycle
+	ls.canceled = ps.canceled
+	ls.maxed = !ps.canceled && !ps.quiesced
+	res, err := s.assemble(opt)
+	res.Shards = make([]partition.ShardStat, nw)
 	for i, w := range ps.workers {
 		res.Shards[i] = w.stat
 	}
-	drain := &sim{g: g, streams: streams, arcHas: ps.arcHas, arcVal: ps.arcVal, srcPos: ps.srcPos}
-	res.Clean, res.Stalled = drain.drainState()
-	if ps.canceled {
-		return markCanceled(res, ps.endCycle, opt.Ctx)
-	}
-	if !ps.quiesced {
+	if ls.maxed {
 		res.ShardDiag = ps.diagnose()
-		return res, fmt.Errorf("exec: no quiescence after %d cycles (livelock or MaxCycles too small)", maxCycles)
 	}
-	return res, nil
+	return res, err
 }
 
 // run is one worker's cycle loop. All workers observe the same plan-count
 // total each cycle, so they exit together at the same cycle number.
 func (w *shardWorker) run() {
 	ps := w.ps
+	bw := w.bw
 	wallStart := time.Now()
 	defer func() { w.stat.WallNs = time.Since(wallStart).Nanoseconds() }()
 	for cycle := 0; ; cycle++ {
-		if cycle >= ps.maxCycles {
+		if cycle >= ps.s.maxCycles {
 			if w.id == 0 {
 				ps.endCycle = cycle
 			}
@@ -288,11 +221,11 @@ func (w *shardWorker) run() {
 			}
 		}
 		// Phase A: plan against the frozen start-of-cycle state.
-		w.sm.collect()
+		plans := bw.collect()
 		if ps.traced {
-			w.classify()
+			w.classify(plans)
 		}
-		ps.planCount[w.id].v = int64(len(w.sm.plans))
+		ps.planCount[w.id].v = int64(len(plans))
 		w.wait()
 		if ps.cancelReq {
 			if w.id == 0 {
@@ -319,11 +252,13 @@ func (w *shardWorker) run() {
 			w.wait()
 		}
 		// Phase B: apply own plans.
-		w.apply(cycle)
+		bw.apply(cycle, plans)
+		w.route()
+		w.stat.Firings += int64(len(plans))
 		w.wait()
 		// Phase C: collect cross-shard wake-ups.
 		w.drainRings()
-		w.sm.cand, w.sm.nextCand = w.sm.nextCand, w.sm.cand
+		bw.cand, bw.next = bw.next, bw.cand
 		if w.live != nil {
 			w.live.Cycles.Add(1)
 			w.live.Firings.Store(w.stat.Firings)
@@ -343,139 +278,80 @@ func (w *shardWorker) wait() {
 
 // classify records, for every owned cell, either its plan index or its
 // stall reason — the inputs worker 0 needs to replay the cycle's trace
-// events in sequential order.
-func (w *shardWorker) classify() {
+// events in cell order.
+func (w *shardWorker) classify(plans []bfiring) {
 	ps := w.ps
 	for _, id := range w.nodes {
 		ps.planned[id] = -1
 	}
-	for i := range w.sm.plans {
-		ps.planned[w.sm.plans[i].node.ID] = int32(i)
+	for i := range plans {
+		ps.planned[plans[i].inst] = int32(i)
 	}
 	for _, id := range w.nodes {
-		if ps.planned[id] >= 0 {
-			continue
+		if ps.planned[id] < 0 {
+			ps.stallReason[id] = w.bw.probe(int32(id))
 		}
-		// Like the sequential emitStalls this replans the cell; the extra
-		// arena entries are discarded with the cycle.
-		_, why := w.sm.plan(ps.g.Node(id))
-		ps.stallReason[id] = why
 	}
 }
 
-// emitCycle replays the cycle's trace events in the exact order the
-// sequential engine emits them: stalls in cell-ID order, then per firing
+// emitCycle replays the cycle's trace events in the exact order a
+// one-worker run emits them: stalls in cell-ID order, then per firing
 // (ascending cell ID) the firing event, its acknowledge events, and the
 // debug callback, then all token arrivals in the same plan order.
 func (ps *shardSim) emitCycle(cycle int) {
-	tr := ps.opt.Tracer
-	arcs := ps.g.Arcs()
+	tr := ps.s.tr
 	if tr != nil {
-		for _, n := range ps.g.Nodes() {
-			if ps.planned[n.ID] >= 0 {
+		for ci, pi := range ps.planned {
+			if pi >= 0 {
 				continue
 			}
-			if why := ps.stallReason[n.ID]; why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
+			if why := ps.stallReason[ci]; why == trace.ReasonOperandWait || why == trace.ReasonAckWait {
 				tr.Emit(trace.Event{
 					Cycle: int64(cycle), Kind: trace.KindStall,
-					Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
+					Cell: int32(ci), Port: -1, Unit: -1, Src: -1, Dst: -1, Reason: why,
 				})
 			}
 		}
 	}
-	for _, n := range ps.g.Nodes() {
-		pi := ps.planned[n.ID]
-		if pi < 0 {
-			continue
-		}
-		sm := ps.workers[ps.asn.Shard[n.ID]].sm
-		f := &sm.plans[pi]
-		if tr != nil {
-			tr.Emit(trace.Event{
-				Cycle: int64(cycle), Kind: trace.KindFiring,
-				Cell: int32(n.ID), Port: -1, Unit: -1, Src: -1, Dst: -1,
-			})
-			for _, aid := range sm.arcIDs[f.c0:f.c1] {
-				tr.Emit(trace.Event{
-					Cycle: int64(cycle), Kind: trace.KindAck,
-					Cell: int32(arcs[aid].From), Port: -1, Unit: -1, Src: -1, Dst: -1,
-				})
-			}
-		}
-		if ps.opt.Trace != nil && f.produced {
-			ps.opt.Trace(cycle, n, f.out)
+	for ci, pi := range ps.planned {
+		if pi >= 0 {
+			bw := ps.workers[ps.asn.Shard[ci]].bw
+			bw.emitFiring(cycle, &bw.plans[pi])
 		}
 	}
 	if tr != nil {
-		for _, n := range ps.g.Nodes() {
-			pi := ps.planned[n.ID]
-			if pi < 0 {
-				continue
-			}
-			sm := ps.workers[ps.asn.Shard[n.ID]].sm
-			f := &sm.plans[pi]
-			for _, aid := range sm.arcIDs[f.p0:f.p1] {
-				a := arcs[aid]
-				tr.Emit(trace.Event{
-					Cycle: int64(cycle), Kind: trace.KindToken,
-					Cell: int32(a.To), Port: int32(a.ToPort), Unit: -1, Src: -1, Dst: -1,
-				})
+		for ci, pi := range ps.planned {
+			if pi >= 0 {
+				bw := ps.workers[ps.asn.Shard[ci]].bw
+				bw.emitTokens(cycle, &bw.plans[pi])
 			}
 		}
 	}
 }
 
-// apply commits this worker's plans — the parallel half of the sequential
-// apply, with wake-ups for foreign cells routed through the rings.
-func (w *shardWorker) apply(cycle int) {
-	ps := w.ps
-	sm := w.sm
-	sm.nextCand.reset()
-	arcs := ps.g.Arcs()
-	shard := ps.asn.Shard
-	for i := range sm.plans {
-		f := &sm.plans[i]
-		n := f.node
-		sm.firings[n.ID]++
-		w.stat.Firings++
-		sm.nextCand.set(int(n.ID))
-		for _, aid := range sm.arcIDs[f.c0:f.c1] {
-			sm.arcHas[aid] = false
-			w.wake(int(arcs[aid].From), shard)
+// route moves this cycle's wake-ups of cells other shards own out of the
+// next candidate set and onto the ring to each cell's owner.
+func (w *shardWorker) route() {
+	bw := w.bw
+	for i, f := range w.foreign {
+		x := bw.next[i] & f
+		if x == 0 {
+			continue
 		}
-		if f.advance {
-			sm.srcPos[n.ID]++
-		}
-		if f.sink {
-			ps.sinkVals[n.ID] = appendPrealloc(ps.sinkVals[n.ID], f.out, ps.outCap)
-			ps.sinkArrs[n.ID] = appendArrPrealloc(ps.sinkArrs[n.ID], Arrival{Cycle: cycle, Val: f.out}, ps.outCap)
-			if ps.opt.Progress != nil {
-				ps.opt.Progress.Arrivals.Add(1)
+		bw.next[i] &^= x
+		for ; x != 0; x &= x - 1 {
+			ci := i<<6 + bits.TrailingZeros64(x)
+			t := w.ps.asn.Shard[ci]
+			if !w.outRings[t].Push(int32(ci)) {
+				// Sized to the cross-arc count this cannot happen; fail
+				// loudly naming the ring rather than drop a wake-up and
+				// livelock.
+				panic(fmt.Sprintf("exec: notification ring shard %d -> %d overflowed (cap %d)",
+					w.id, t, w.outRings[t].Cap()))
 			}
-		}
-		for _, aid := range sm.arcIDs[f.p0:f.p1] {
-			sm.arcHas[aid] = true
-			sm.arcVal[aid] = f.out
-			w.wake(int(arcs[aid].To), shard)
+			w.stat.RingSends++
 		}
 	}
-}
-
-// wake marks a cell as a next-cycle candidate: directly when this worker
-// owns it, via the SPSC ring to its owner otherwise.
-func (w *shardWorker) wake(node int, shard []int) {
-	t := shard[node]
-	if t == w.id {
-		w.sm.nextCand.set(node)
-		return
-	}
-	if !w.outRings[t].Push(int32(node)) {
-		// Sized to the cross-arc count this cannot happen; fail loudly
-		// naming the ring rather than drop a wake-up and livelock.
-		panic(fmt.Sprintf("exec: notification ring shard %d -> %d overflowed (cap %d)",
-			w.id, t, w.outRings[t].Cap()))
-	}
-	w.stat.RingSends++
 }
 
 // drainRings moves inbound wake-ups into the next candidate set.
@@ -492,7 +368,7 @@ func (w *shardWorker) drainRings() {
 			if !ok {
 				break
 			}
-			w.sm.nextCand.set(int(v))
+			w.bw.wake(int(v), 1)
 			w.stat.RingRecvs++
 		}
 	}
@@ -506,7 +382,7 @@ func (ps *shardSim) diagnose() []string {
 	for _, w := range ps.workers {
 		d = append(d, fmt.Sprintf(
 			"shard %d: %d cells, %d candidate cells pending at halt, %d firings, %d cross-shard notifications sent, inbound ring peak %d",
-			w.id, len(w.nodes), w.sm.cand.count(), w.stat.Firings, w.stat.RingSends, w.stat.RingPeak))
+			w.id, len(w.nodes), w.bw.cand.count(), w.stat.Firings, w.stat.RingSends, w.stat.RingPeak))
 	}
 	for _, w := range ps.workers {
 		for src, r := range w.inRings {

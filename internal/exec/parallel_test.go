@@ -108,7 +108,7 @@ func requireSameResult(t *testing.T, name string, p int, seq, par *Result) {
 
 // TestShardedMatchesSequential is the package-level half of the
 // determinism contract: every observable Result field is byte-identical
-// to the sequential engine for any worker count.
+// to a one-worker run for any worker count.
 func TestShardedMatchesSequential(t *testing.T) {
 	for name, build := range parallelCases() {
 		seq, err := Run(build(), Options{})
@@ -264,7 +264,7 @@ func TestShardedWithLiveTelemetry(t *testing.T) {
 }
 
 // TestShardedWorkerClamp: more workers than cells must degrade to fewer
-// shards (or the sequential engine) without changing results.
+// shards (or one worker) without changing results.
 func TestShardedWorkerClamp(t *testing.T) {
 	g := graph.New()
 	src := g.AddSource("in", value.Reals(ramp(8)))

@@ -2,29 +2,39 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"staticpipe/internal/graph"
 	"staticpipe/internal/value"
 )
 
-// Prepared is a graph readied for repeated execution: validated and
-// FIFO-expanded exactly once, with a free-list pool of sequential-engine
-// run state (arc slots, candidate bitsets, plan arenas) so a run over a
-// warm Prepared allocates near nothing before its first cycle.
+// Prepared is a graph readied for repeated execution: validated,
+// FIFO-expanded and decoded into the lane engine's flat instruction form
+// exactly once. Everything here depends only on the graph, so a run over a
+// warm Prepared allocates just its own token, position, counter and sink
+// state, whatever the graph's size.
 //
 // A Prepared is immutable after construction and safe for concurrent Run
 // calls — this is the execution half of the artifact-cache contract: one
 // compiled artifact, shared across goroutines, bound to per-run inputs via
 // Options.Inputs instead of graph mutation.
 type Prepared struct {
-	g    *graph.Graph
-	pool sync.Pool // *sim, scratch sized for g
+	g *graph.Graph
+
+	insts []bInst
+	lits  []value.Value // the graph's literal operands (see bInst.ins)
+
+	arcFrom []int32
+	arcTo   []int32
+	arcPort []int32
+
+	sinkLabels []string        // label per dense sink index
+	sources    []graph.NodeID  // node ID per dense source index
+	srcLabels  map[string]bool // source labels, for input-name checks
 }
 
-// Prepare validates g and expands its FIFO cells, returning the reusable
-// execution artifact. The expansion work (and its allocation) is paid here
-// once instead of on every Run.
+// Prepare validates g, expands its FIFO cells and decodes the result,
+// returning the reusable execution artifact. The expansion and decode work
+// (and their allocation) are paid here once instead of on every Run.
 func Prepare(g *graph.Graph) (*Prepared, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -33,93 +43,106 @@ func Prepare(g *graph.Graph) (*Prepared, error) {
 	if err := eg.Validate(); err != nil {
 		return nil, fmt.Errorf("exec: expanded graph invalid: %w", err)
 	}
-	return &Prepared{g: eg}, nil
+	return decode(eg)
 }
 
 // Graph returns the validated, FIFO-expanded graph the Prepared runs.
 // Callers must treat it as read-only.
 func (p *Prepared) Graph() *graph.Graph { return p.g }
 
-// getSim draws sequential-engine run state from the pool (or builds it on
-// a cold pool) and resets it for one run. State that escapes into the
-// Result — firings, output and arrival maps — is always allocated fresh;
-// only the non-escaping scratch is pooled.
-func (p *Prepared) getSim(opt Options) *sim {
-	g := p.g
-	s, _ := p.pool.Get().(*sim)
-	if s == nil {
-		s = &sim{
-			g:        g,
-			streams:  make([][]value.Value, g.NumNodes()),
-			arcHas:   make([]bool, g.NumArcs()),
-			arcVal:   make([]value.Value, g.NumArcs()),
-			srcPos:   make([]int, g.NumNodes()),
-			cand:     newBitset(g.NumNodes()),
-			nextCand: newBitset(g.NumNodes()),
-		}
-	} else {
-		// arcVal and the plan arenas may hold stale data; both are
-		// write-before-read (value.Value carries no pointers, so stale
-		// entries pin nothing). The candidate set is fully re-seeded by the
-		// run prologue, which marks every cell.
-		clear(s.arcHas)
-		clear(s.srcPos)
-	}
-	s.firings = make([]int, g.NumNodes())
-	s.outs = map[string][]value.Value{}
-	s.arrs = map[string][]Arrival{}
-	s.outCap = 0
-	s.trace, s.tr, s.prog = opt.Trace, opt.Tracer, opt.Progress
-	return s
-}
-
-// putSim returns run state to the pool, dropping every reference that
-// would otherwise pin caller inputs, per-run results, or tracer sinks in
-// the free list. The scratch arenas keep their capacity — that reuse is
-// the point of the pool.
-func (p *Prepared) putSim(s *sim) {
-	clear(s.streams)
-	s.firings, s.outs, s.arrs = nil, nil, nil
-	s.trace, s.tr, s.prog = nil, nil, nil
-	p.pool.Put(s)
-}
-
-// resolveStreams binds each source cell's stream for one run: the stream
-// compiled into the graph unless inputs overrides it by label. Resolution
-// writes only buf (reused when its capacity allows), never the graph, so
-// concurrent runs of one graph cannot race on input binding.
-func resolveStreams(g *graph.Graph, inputs map[string][]value.Value, buf [][]value.Value) ([][]value.Value, error) {
-	nn := g.NumNodes()
-	if cap(buf) < nn {
-		buf = make([][]value.Value, nn)
-	}
-	buf = buf[:nn]
-	matched := 0
+// decode builds the flat instruction form of g. Every table is allocated
+// once, so decoding costs a fixed number of allocations for any graph.
+func decode(g *graph.Graph) (*Prepared, error) {
+	nn, na := g.NumNodes(), g.NumArcs()
+	nIn, nOut, nLit, nSink, nSrc := 0, 0, 0, 0, 0
 	for _, n := range g.Nodes() {
-		if n.Op != graph.OpSource {
-			buf[n.ID] = nil
-			continue
+		nIn += len(n.In)
+		nOut += len(n.Out)
+		for _, in := range n.In {
+			if in.Literal != nil {
+				nLit++
+			}
 		}
-		buf[n.ID] = n.Stream
-		if inputs != nil {
-			if sv, ok := inputs[n.Label]; ok {
-				buf[n.ID] = sv
-				matched++
+		switch n.Op {
+		case graph.OpSink:
+			nSink++
+		case graph.OpSource:
+			nSrc++
+		}
+	}
+	ints := make([]int32, 2*nIn+3*na)
+	ins, cins := ints[:nIn:nIn], ints[nIn:2*nIn:2*nIn]
+	outs := make([]bOut, nOut)
+	p := &Prepared{
+		g:          g,
+		insts:      make([]bInst, nn),
+		lits:       make([]value.Value, 0, nLit),
+		arcFrom:    ints[2*nIn : 2*nIn+na : 2*nIn+na],
+		arcTo:      ints[2*nIn+na : 2*nIn+2*na : 2*nIn+2*na],
+		arcPort:    ints[2*nIn+2*na:],
+		sinkLabels: make([]string, 0, nSink),
+		sources:    make([]graph.NodeID, 0, nSrc),
+		srcLabels:  map[string]bool{},
+	}
+	seenSinks := map[string]bool{}
+	for _, n := range g.Nodes() {
+		inst := &p.insts[n.ID]
+		inst.node = n
+		inst.op = n.Op
+		inst.sink = -1
+		inst.src = -1
+		k := len(n.In)
+		inst.ins, ins = ins[:k:k], ins[k:]
+		inst.cins, cins = cins[:0:k], cins[k:]
+		for port, in := range n.In {
+			if in.Literal != nil { // Validate rejects unbound ports
+				p.lits = append(p.lits, *in.Literal)
+				inst.ins[port] = -int32(len(p.lits))
+				continue
+			}
+			inst.ins[port] = int32(in.Arc.ID)
+			inst.cins = append(inst.cins, int32(in.Arc.ID))
+		}
+		k = len(n.Out)
+		inst.outs, outs = outs[:k:k], outs[k:]
+		gated := false
+		for i, a := range n.Out {
+			inst.outs[i] = bOut{aid: int32(a.ID), gate: int32(a.Gate)}
+			gated = gated || a.Gate != graph.NoGate
+		}
+		switch n.Op {
+		case graph.OpSink:
+			if seenSinks[n.Label] {
+				return nil, fmt.Errorf("exec: duplicate sink label %q", n.Label)
+			}
+			seenSinks[n.Label] = true
+			inst.sink = int32(len(p.sinkLabels))
+			p.sinkLabels = append(p.sinkLabels, n.Label)
+			if len(inst.cins) > 0 && !gated {
+				inst.shape = bShapeSink
+			}
+		case graph.OpSource:
+			inst.src = int32(len(p.sources))
+			p.sources = append(p.sources, n.ID)
+			p.srcLabels[n.Label] = true
+			if !gated {
+				inst.shape = bShapeSource
+			}
+		case graph.OpCtlGen, graph.OpMerge, graph.OpTGate, graph.OpFGate:
+			// plan shape varies with token values: exact per-lane path
+		default:
+			if !gated {
+				inst.shape = bShapeApply
 			}
 		}
 	}
-	if matched < len(inputs) {
-		srcLabels := make(map[string]bool)
-		for _, n := range g.Nodes() {
-			if n.Op == graph.OpSource {
-				srcLabels[n.Label] = true
-			}
-		}
-		for label := range inputs {
-			if !srcLabels[label] {
-				return nil, fmt.Errorf("exec: input %q names no source cell", label)
-			}
-		}
+	for _, a := range g.Arcs() {
+		p.arcFrom[a.ID] = int32(a.From)
+		p.arcTo[a.ID] = int32(a.To)
+		p.arcPort[a.ID] = int32(a.ToPort)
 	}
-	return buf, nil
+	return p, nil
 }
+
+// lit returns the literal an operand entry below zero names.
+func (p *Prepared) lit(entry int32) value.Value { return p.lits[-entry-1] }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"staticpipe/internal/graph"
 	"staticpipe/internal/value"
 )
 
@@ -74,9 +75,9 @@ func TestPreparedUnknownInputLabel(t *testing.T) {
 	}
 }
 
-// TestPreparedPooledRunsIdentical pins the free-list pool: repeated and
-// concurrent runs over one Prepared draw recycled scratch and must stay
-// byte-identical to the first (cold-pool) run.
+// TestPreparedPooledRunsIdentical pins reuse of one Prepared: repeated and
+// concurrent runs share its decoded program and must stay byte-identical
+// to the first run.
 func TestPreparedPooledRunsIdentical(t *testing.T) {
 	g, _ := fig2(32)
 	p, err := Prepare(g)
@@ -117,5 +118,63 @@ func TestPreparedPooledRunsIdentical(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// Escape sinks for the per-sink allocations
+// TestRunAllocsIndependentOfGraphSize measures.
+var (
+	allocOuts map[string][]value.Value
+	allocArrs map[string][]Arrival
+	allocCycs [][]int64
+)
+
+// TestRunAllocsIndependentOfGraphSize pins the decode-once contract: a run
+// over a warm Prepared allocates only its own state, a fixed number of
+// slices whatever the graph's size, so no per-cell decode is left on the
+// run path. Per-sink result state is the one exception — each sink's
+// value, cycle and arrival buffers, and the result maps, which Go
+// allocates in more pieces past eight entries — so the pin measures that
+// state for the same sink counts and stream lengths and takes it out.
+func TestRunAllocsIndependentOfGraphSize(t *testing.T) {
+	const n = 64
+	runAllocs := func(g *graph.Graph) float64 {
+		p, err := Prepare(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := p.Run(Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	sinkAllocs := func(sinks int) float64 {
+		labels := make([]string, sinks)
+		for i := range labels {
+			labels[i] = fmt.Sprint("out", i)
+		}
+		return testing.AllocsPerRun(20, func() {
+			outs := make(map[string][]value.Value, sinks)
+			arrs := make(map[string][]Arrival, sinks)
+			cycs := make([][]int64, sinks)
+			for i, l := range labels {
+				outs[l] = make([]value.Value, 0, n)
+				arrs[l] = make([]Arrival, n)
+				cycs[i] = make([]int64, 0, n)
+			}
+			allocOuts, allocArrs, allocCycs = outs, arrs, cycs
+		})
+	}
+	narrow, wide := runAllocs(wideBenchGraph(2, n)), runAllocs(wideBenchGraph(16, n))
+	if a, b := narrow-sinkAllocs(2), wide-sinkAllocs(16); a != b {
+		t.Errorf("run allocations grow with the graph: %v at 2 pipelines, %v at 16 (per-sink result state excluded)", a, b)
+	}
+	// Same sinks and sources, 32x the cells: no exclusion needed.
+	if short, deep := runAllocs(cancelChain(n, 4)), runAllocs(cancelChain(n, 128)); short != deep {
+		t.Errorf("run allocations grow with pipeline depth: %v at 4 stages, %v at 128", short, deep)
 	}
 }

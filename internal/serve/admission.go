@@ -21,6 +21,7 @@ const (
 	ReasonThrottled = "throttled"  // tenant token bucket empty
 	ReasonQueueFull = "queue_full" // offload queue at capacity
 	ReasonShutdown  = "shutdown"   // service draining
+	ReasonTooLarge  = "too_large"  // POST /jobs body over maxSubmitBytes
 )
 
 // Rejection describes why a submission was not admitted.

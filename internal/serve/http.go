@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,7 +14,7 @@ import (
 
 // Register mounts the job API on mux:
 //
-//	POST   /jobs              submit (200 fast+result, 202 queued, 400/429/503 rejected)
+//	POST   /jobs              submit (200 fast+result, 202 queued, 400/413/429/503 rejected)
 //	GET    /jobs[?tenant=]    list tracked jobs (no result payloads)
 //	GET    /jobs/{id}         one job; includes the result once terminal
 //	POST   /jobs/{id}/cancel  request cancellation (DELETE /jobs/{id} is an alias)
@@ -61,9 +62,20 @@ type errorBody struct {
 	RetryAfter int    `json:"retry_after_sec,omitempty"`
 }
 
+// maxSubmitBytes bounds a POST /jobs body; a longer one answers 413. The
+// largest bodies the repository benchmark's service mix and the dfserve
+// smoke send are a few hundred kilobytes.
+const maxSubmitBytes = 8 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), Reason: ReasonTooLarge})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err), Reason: ReasonInvalid})
 		return
 	}

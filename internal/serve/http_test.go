@@ -354,3 +354,33 @@ func TestWriteJSONUnencodableResult(t *testing.T) {
 		t.Fatalf("finite result: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestHTTPOversizedBodyRejected413 pins the submit body bound: a body past
+// maxSubmitBytes answers 413 with the too_large reason in the error
+// envelope, and admits nothing.
+func TestHTTPOversizedBodyRejected413(t *testing.T) {
+	s, ts := newHTTPService(t, Config{})
+	p := progs.Fig2(8)
+	body, err := json.Marshal(Spec{Tenant: "big", Source: p.Source + "\n//" + strings.Repeat("x", maxSubmitBytes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("decoding error envelope: %v", err)
+	}
+	if eb.Reason != ReasonTooLarge || !strings.Contains(eb.Error, strconv.Itoa(maxSubmitBytes)) {
+		t.Errorf("error envelope %+v, want reason %q naming the limit", eb, ReasonTooLarge)
+	}
+	if sub, _, _ := s.Counters("big"); sub != 0 {
+		t.Errorf("oversized body reached admission: %d submitted", sub)
+	}
+}

@@ -39,6 +39,12 @@ echo "== solver identity =="
 # levels and placements built on them.
 go test -count=1 -run 'Oracle' ./internal/mincost ./internal/mcm ./internal/balance ./internal/place
 
+echo "== engine identity =="
+# The firing-rule core has one engine; the sequential engine it replaced
+# survives as a _test.go oracle, and every worker and lane count must
+# match it event for event.
+go test -count=1 -run 'Oracle' ./internal/exec
+
 echo "== perfbench vet and tests =="
 # The repository benchmark is its own module; an API change that breaks
 # it fails here rather than when the benchmark next runs.
@@ -49,7 +55,7 @@ echo "== sharded engine race pin =="
 # rings, merge phases) get a dedicated repeated race pass over small graphs
 # at several worker counts; the full-suite -race run exercises each shape
 # only once.
-go test -race -count=3 -run 'Sharded|ShardSweep|CoreWorkersOption' \
+go test -race -count=3 -run 'Sharded|ShardSweep|CoreWorkersOption|Oracle' \
     ./internal/exec/ ./internal/machine/ ./internal/core/ ./internal/partition/
 
 echo "== service admission race pin =="

@@ -27,6 +27,8 @@
 package staticpipe
 
 import (
+	"errors"
+
 	"staticpipe/internal/core"
 	"staticpipe/internal/exec"
 	"staticpipe/internal/forall"
@@ -99,12 +101,25 @@ const (
 type MachineResult = machine.Result
 
 // RunMachine executes a compiled unit on the cycle-accurate packet-level
-// machine simulator.
+// machine simulator. The inputs argument is the run's one input binding,
+// so cfg.Inputs must be nil. The inputs travel with the run and the unit's
+// memoized machine preparation is reused, so concurrent calls on one Unit
+// are safe.
 func RunMachine(u *Unit, inputs map[string][]Value, cfg MachineConfig) (*MachineResult, error) {
-	if err := u.Compiled.SetInputs(inputs); err != nil {
+	if cfg.Inputs != nil {
+		return nil, errors.New("staticpipe: RunMachine binds its inputs argument; cfg.Inputs must be nil")
+	}
+	a := u.Artifact()
+	binds, err := a.BindInputs(inputs)
+	if err != nil {
 		return nil, err
 	}
-	return machine.Run(u.Compiled.Graph, cfg)
+	mp, err := a.Machine()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Inputs = binds
+	return mp.Run(cfg)
 }
 
 // PredictII returns the analytical initiation-interval bound of a compiled

@@ -1,8 +1,11 @@
 package staticpipe
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"staticpipe/internal/progs"
@@ -61,6 +64,68 @@ func TestFacadeMachine(t *testing.T) {
 		if mv[i] != ev[i] {
 			t.Errorf("Y[%d]: machine %v, exec %v", i, mv[i], ev[i])
 		}
+	}
+}
+
+// TestRunMachineConcurrent runs one Unit on the machine simulator from
+// several goroutines at once, each with its own inputs: RunMachine binds
+// inputs per run and never writes the shared compiled graph, so every run
+// must match an exec run of its own inputs.
+func TestRunMachineConcurrent(t *testing.T) {
+	src, base := fig2Program(24)
+	u, err := Compile(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 6
+	inputs := make([]map[string][]Value, runs)
+	want := make([][]Value, runs)
+	for k := range inputs {
+		a := Floats(base["A"])
+		for i := range a {
+			a[i] *= float64(k + 1)
+		}
+		inputs[k] = map[string][]Value{"A": Reals(a), "B": base["B"]}
+		res, err := u.Run(inputs[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = res.Outputs["Y"].Elems
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, runs)
+	for k := range inputs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			mres, err := RunMachine(u, inputs[k], MachineConfig{PEs: 4, AMs: 2})
+			if err != nil {
+				errs <- err
+				return
+			}
+			got := mres.Output("Y")
+			if len(got) != len(want[k]) {
+				errs <- fmt.Errorf("run %d: %d outputs, want %d", k, len(got), len(want[k]))
+				return
+			}
+			for i := range got {
+				if got[i] != want[k][i] {
+					errs <- fmt.Errorf("run %d: Y[%d] = %v, want %v", k, i, got[i], want[k][i])
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// The inputs argument is the one binding: a second one in the config
+	// is refused rather than silently overriding or being overridden.
+	_, err = RunMachine(u, inputs[0], MachineConfig{PEs: 4, AMs: 2, Inputs: inputs[1]})
+	if err == nil || !strings.Contains(err.Error(), "cfg.Inputs must be nil") {
+		t.Errorf("RunMachine with cfg.Inputs set: err = %v, want refusal", err)
 	}
 }
 
